@@ -1,14 +1,13 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace fairkm {
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  num_threads = std::max<size_t>(1, num_threads);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
+  const size_t count = std::max<size_t>(1, num_threads);
+  workers_.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -61,29 +60,6 @@ void ThreadPool::WorkerLoop() {
 size_t ThreadPool::DefaultThreadCount() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
-}
-
-void ParallelFor(size_t count, size_t num_threads,
-                 const std::function<void(size_t)>& body) {
-  if (count == 0) return;
-  num_threads = std::min(std::max<size_t>(1, num_threads), count);
-  if (num_threads == 1 || count == 1) {
-    for (size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (size_t t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&] {
-      for (;;) {
-        size_t i = next.fetch_add(1);
-        if (i >= count) return;
-        body(i);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
 }
 
 }  // namespace fairkm

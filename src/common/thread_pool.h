@@ -1,5 +1,5 @@
-// Fixed-size thread pool and a blocking ParallelFor, used by the experiment
-// harness to run independent seeds concurrently.
+// Fixed-size thread pool, used by exp::ExperimentRunner to run independent
+// seeds concurrently (one warm session per worker).
 
 #ifndef FAIRKM_COMMON_THREAD_POOL_H_
 #define FAIRKM_COMMON_THREAD_POOL_H_
@@ -49,12 +49,6 @@ class ThreadPool {
   size_t in_flight_ = 0;
   bool shutdown_ = false;
 };
-
-/// \brief Runs body(i) for i in [0, count) across `num_threads` workers and
-/// blocks until completion. Falls back to a serial loop for small counts or
-/// single-threaded pools.
-void ParallelFor(size_t count, size_t num_threads,
-                 const std::function<void(size_t)>& body);
 
 }  // namespace fairkm
 

@@ -144,7 +144,9 @@ std::string EncodeMeta(const SolverCheckpoint& cp) {
   w.PutU64(cp.num_rows);
   w.PutU32(static_cast<uint32_t>(cp.k));
   w.PutU64(cp.batch_size);
-  w.PutU8(cp.parallel ? 1 : 0);
+  // Retired sweep-mode byte, kept so the layout and format version stay
+  // put: always 0 (see DecodeMeta).
+  w.PutU8(0);
   w.PutDouble(cp.lambda);
   w.PutU32(static_cast<uint32_t>(cp.sweeps_completed));
   w.PutU8(cp.converged ? 1 : 0);
@@ -170,7 +172,11 @@ Status DecodeMeta(const std::string& payload, SolverCheckpoint* cp) {
   FAIRKM_RETURN_NOT_OK(r.GetU64(&u64));
   cp->batch_size = static_cast<size_t>(u64);
   FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));
-  cp->parallel = u8 != 0;
+  if (u8 != 0) {
+    return Status::InvalidArgument(
+        "checkpoint was written by the removed parallel sweep mode; restart "
+        "the run (serial and mini-batch checkpoints still load)");
+  }
   FAIRKM_RETURN_NOT_OK(r.GetDouble(&cp->lambda));
   FAIRKM_RETURN_NOT_OK(r.GetU32(&u32));
   cp->sweeps_completed = static_cast<int>(u32);
@@ -284,9 +290,14 @@ Status DecodePruner(const std::string& payload, SweepPruner::Checkpoint* pr) {
 
 /// Payload parse failures are corruption from the caller's view, but the
 /// parser can also return kDataLoss for reasons worth keeping; only rewrap
-/// codes that are not already in the corruption family.
+/// codes that are not already in the corruption family. kInvalidArgument
+/// passes through too: it marks an intact file this binary refuses (like a
+/// newer format version), which resume must not quarantine.
 Status AsDataLoss(Status st, const char* what, const std::string& path) {
-  if (st.ok() || st.code() == StatusCode::kDataLoss) return st;
+  if (st.ok() || st.code() == StatusCode::kDataLoss ||
+      st.code() == StatusCode::kInvalidArgument) {
+    return st;
+  }
   return Status::DataLoss(std::string(what) + " section unreadable in " +
                           path + ": " + st.ToString());
 }

@@ -10,7 +10,9 @@
 // Corruption (torn write, truncation, bit rot) reads as kDataLoss — the
 // signal FairKMSolver::ResumeFromCheckpointDir uses to fall back to the
 // previous good checkpoint. A file written by a NEWER format version reads
-// as kInvalidArgument (intact file, too-old binary).
+// as kInvalidArgument (intact file, too-old binary), and so does one whose
+// meta section sets the retired parallel-sweep byte (the removed
+// snapshot-parallel mode; writers always emit 0 there).
 
 #ifndef FAIRKM_CORE_CHECKPOINT_IO_H_
 #define FAIRKM_CORE_CHECKPOINT_IO_H_
@@ -30,7 +32,8 @@ Status WriteSolverCheckpoint(const std::string& path,
                              const SolverCheckpoint& cp);
 
 /// \brief Reads and verifies a checkpoint file. kDataLoss on corruption,
-/// kNotFound when absent, kInvalidArgument on a newer format version.
+/// kNotFound when absent, kInvalidArgument on a newer format version or a
+/// checkpoint of the removed parallel sweep mode.
 Result<SolverCheckpoint> ReadSolverCheckpoint(const std::string& path);
 
 /// \brief Canonical file name of the checkpoint taken after

@@ -188,8 +188,9 @@ class FairKMState {
   /// \brief Batched K-Means deltas: fills `out[c]` with DeltaKMeans(i, c) for
   /// every cluster in one contiguous pass over the k x stride sums matrix.
   /// `out` must have room for k() doubles. This is the optimizer's hot
-  /// kernel; it is read-only and safe to call concurrently for distinct
-  /// points while no Move/RefreshPrototypes runs.
+  /// kernel; it is read-only. The state is driven from its session's thread
+  /// (serve readers score exported ModelSnapshot copies, never the live
+  /// state).
   void DeltaKMeansAllClusters(size_t i, double* out) const {
     DeltaKMeansAllClusters(i, out, nullptr);
   }

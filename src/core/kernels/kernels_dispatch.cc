@@ -1,7 +1,8 @@
 // Runtime backend selection: cpuid (via __builtin_cpu_supports) picks the
 // best compiled-in backend once, FAIRKM_FORCE_SCALAR / SetActiveBackend
-// override it. The decision is cached in an atomic so the parallel sweep's
-// workers can read kernels concurrently without synchronization.
+// override it. The decision is cached in an atomic so concurrent callers —
+// serve readers scoring batches and exp::ExperimentRunner's seed-parallel
+// sessions — can dispatch kernels without synchronization.
 
 #include "core/kernels/kernels.h"
 

@@ -42,10 +42,11 @@
 // bound validity (tests/testlib/brute_force.h) across seeded worlds and
 // kernel backends.
 //
-// Concurrency: ShouldPrune is const and reads only cluster-level state that
-// is frozen while no Move/RefreshPrototypes runs, so the snapshot-parallel
-// sweep may gate candidates from every worker; Refresh writes only point
-// i's slots and is safe for distinct points.
+// Concurrency: a pruner belongs to one solver session and is driven from
+// that session's thread; exp::ExperimentRunner's seed-parallel workers each
+// own a separate session, and serve readers never touch it. ShouldPrune is
+// const and reads only cluster-level state that is frozen while no
+// Move/RefreshPrototypes runs; Refresh writes only point i's slots.
 
 #ifndef FAIRKM_CORE_PRUNING_H_
 #define FAIRKM_CORE_PRUNING_H_

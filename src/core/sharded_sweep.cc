@@ -26,17 +26,17 @@ Result<ShardedSweep> ShardedSweep::Create(
     return Status::InvalidArgument("store must not be null");
   }
   FAIRKM_RETURN_NOT_OK(options.Validate());
-  if (options.sweep_mode != SweepMode::kParallelSnapshot) {
+  if (options.minibatch_size == 0) {
     return Status::InvalidArgument(
-        "sharded sweep requires SweepMode::kParallelSnapshot (the driver is "
-        "defined over the snapshot batch engine)");
+        "sharded sweep requires minibatch_size > 0 (shards are whole "
+        "mini-batches; set FairKMOptions::minibatch_size or --minibatch)");
   }
   const size_t n = store->rows();
   const size_t batch = static_cast<size_t>(options.minibatch_size);
   // Shard geometry in whole mini-batches: shard boundaries must coincide
   // with prototype-refresh boundaries so "cursor passed the shard" implies
   // "no further reads of its rows until the next sweep".
-  const size_t total_batches = batch > 0 ? (n + batch - 1) / batch : 0;
+  const size_t total_batches = (n + batch - 1) / batch;
   if (total_batches == 0) {
     return Status::InvalidArgument("store must not be empty");
   }

@@ -2,23 +2,23 @@
 //
 // Wraps a store-backed FairKMSolver (core/solver.h) and partitions the row
 // range into contiguous shards, each a whole number of mini-batches. The
-// sweep itself is the solver's kParallelSnapshot engine: within every
-// mini-batch the candidate K-Means deltas are evaluated concurrently against
-// the frozen prototype snapshot on the solver's ThreadPool, and the chosen
-// moves merge into the live aggregates at the batch boundary. What the
-// sharding layer adds is residency control: every time the sweep cursor
-// passes the end of a shard, that shard's rows are evicted from the page
-// cache (PointStore::EvictRows — MADV_DONTNEED on the mmap backend), so a
-// dataset far larger than RAM streams through a bounded resident set.
+// sweep itself is the solver's serial mini-batch engine (paper §6.1): every
+// point of a mini-batch is scored against the frozen prototype snapshot and
+// moved with live fairness aggregates, and the prototypes re-synchronize at
+// the batch boundary. What the sharding layer adds is residency control:
+// every time the sweep cursor passes the end of a shard, that shard's rows
+// are evicted from the page cache (PointStore::EvictRows — MADV_DONTNEED on
+// the mmap backend), so a dataset far larger than RAM streams through a
+// bounded resident set.
 //
 // Eviction is invisible to the trajectory: the mapping is read-only and a
 // refault re-reads the same bytes from the store file, so a sharded run is
-// bit-identical to an in-process SweepMode::kParallelSnapshot run over the
-// same rows with an equal minibatch_size and seed — same assignments, same
-// objective history, same pruning counters, in every kernel backend and
-// pruning setting. The equivalence is by construction (the driver only
-// observes the solver's progress callback; it never steers the sweep), and
-// pinned by tests/sharded_sweep_test.cc.
+// bit-identical to an in-process mini-batch run over the same rows with an
+// equal minibatch_size and seed — same assignments, same objective history,
+// same pruning counters, in every kernel backend and pruning setting. The
+// equivalence is by construction (the driver only observes the solver's
+// progress callback; it never steers the sweep), and pinned by
+// tests/sharded_sweep_test.cc.
 
 #ifndef FAIRKM_CORE_SHARDED_SWEEP_H_
 #define FAIRKM_CORE_SHARDED_SWEEP_H_
@@ -49,9 +49,9 @@ struct ShardedSweepStats {
 /// like the solver it owns.
 class ShardedSweep {
  public:
-  /// \brief Validates the options (FairKMOptions::Validate, plus: the
-  /// sweep_mode must be kParallelSnapshot — the sharded driver is defined
-  /// over the snapshot engine) and resolves the shard geometry.
+  /// \brief Validates the options (FairKMOptions::Validate, plus:
+  /// minibatch_size must be > 0 — shards are whole mini-batches) and
+  /// resolves the shard geometry.
   /// `num_shards` <= 0 picks a default (8), and any value is clamped so each
   /// shard spans at least one mini-batch; shard_rows rounds the even split
   /// UP to a whole number of mini-batches so shard boundaries always land on

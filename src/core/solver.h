@@ -24,7 +24,7 @@
 //     (aggregates in their incremental summation order, pruner bounds,
 //     sweep cursor), so a restored run replays the EXACT trajectory of an
 //     uninterrupted one — bit-identical assignments, objective history and
-//     pruning counters — in every SweepMode x kernel backend x pruning
+//     pruning counters — in every mini-batch x kernel backend x pruning
 //     setting.
 //   * Assign(new_points[, new_sensitive]) is the out-of-sample serving
 //     path: each new point goes to the non-empty trained cluster minimizing
@@ -63,9 +63,6 @@
 #include "data/sensitive.h"
 
 namespace fairkm {
-
-class ThreadPool;
-
 namespace core {
 
 /// \brief Budget for FairKMSolver::Run. Negative fields mean "unbounded";
@@ -139,11 +136,10 @@ using ProgressCallback = std::function<bool(const SweepProgress&)>;
 struct SolverCheckpoint {
   size_t num_rows = 0;
   int k = 0;
-  /// Sweep-shape identity: restoring under a different mini-batch size or
-  /// sweep mode would silently change refresh boundaries, so Restore
-  /// rejects mismatches.
+  /// Sweep-shape identity: restoring under a different mini-batch size
+  /// would silently change refresh boundaries, so Restore rejects
+  /// mismatches.
   size_t batch_size = 0;
-  bool parallel = false;
   double lambda = 0.0;
   FairKMState::Checkpoint state;
   bool has_pruner = false;
@@ -221,13 +217,10 @@ class FairKMSolver {
       std::shared_ptr<const data::PointStore> store,
       const data::SensitiveView* sensitive, const FairKMOptions& options);
 
-  // Move-only; special members out of line (ThreadPool is only forward-
-  // declared here).
-  FairKMSolver(FairKMSolver&&) noexcept;
-  FairKMSolver& operator=(FairKMSolver&&) noexcept;
+  FairKMSolver(FairKMSolver&&) noexcept = default;
+  FairKMSolver& operator=(FairKMSolver&&) noexcept = default;
   FairKMSolver(const FairKMSolver&) = delete;
   FairKMSolver& operator=(const FairKMSolver&) = delete;
-  ~FairKMSolver();
 
   /// \brief Starts a run from the options' initialization strategy, drawing
   /// from `rng` exactly as RunFairKM does (equal seeds, equal trajectories).
@@ -329,7 +322,7 @@ class FairKMSolver {
   /// \brief Re-synchronizes a store-backed session after the bound store's
   /// row count changed underneath it (online admit/retire): adopts the new
   /// n, re-hoists the full-sweep batch size (mini-batch sizes are kept),
-  /// resizes the batch scratch, rebuilds the pruner over the resized state
+  /// rebuilds the pruner over the resized state
   /// (all per-point bounds restart stale — sound, just unpruned until
   /// refreshed), and clears `converged` so the next Sweep/Run re-certifies
   /// the objective over the new membership. The caller must already have
@@ -369,16 +362,11 @@ class FairKMSolver {
   enum class BatchesOutcome { kSweepComplete, kStopped };
   BatchesOutcome RunBatches(const ProgressCallback& progress, double deadline,
                             double spent_before, RunStop* stop);
-  void ProcessBatchSerial(size_t batch_start, size_t batch_end);
-  void ProcessBatchParallel(size_t batch_start, size_t batch_end);
-  bool ApplyBestMove(size_t i, const double* km_deltas);
+  void ProcessBatch(size_t batch_start, size_t batch_end);
+  bool ApplyBestMove(size_t i);
   Result<cluster::Assignment> AssignImpl(
       const data::Matrix& new_points,
       const data::SensitiveView* new_sensitive) const;
-  double* DistsRow(size_t offset) {
-    return pruner_ ? km_dists_.data() + offset * static_cast<size_t>(options_.k)
-                   : nullptr;
-  }
 
   const data::Matrix* points_;  // Null for store-backed sessions.
   // Shared store for store-backed sessions (set at Create); matrix-backed
@@ -391,16 +379,15 @@ class FairKMSolver {
   double lambda_ = 0.0;
   bool minibatch_ = false;
   size_t batch_size_ = 0;
-  bool parallel_ = false;
   bool pruning_ = false;
 
   // Session state, built at the first Init and reused afterwards.
   std::unique_ptr<FairKMState> state_;
   std::unique_ptr<SweepPruner> pruner_;
-  std::unique_ptr<ThreadPool> pool_;
+  // Per-point scratch for the batched K-Means kernel: k candidate deltas
+  // and, when pruning, the k exported distances.
   std::vector<double> km_deltas_;
   std::vector<double> km_dists_;
-  std::vector<uint8_t> evaluated_;
 
   // Run progress.
   int sweeps_completed_ = 0;

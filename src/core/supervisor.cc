@@ -124,12 +124,6 @@ bool SupervisedRunner::DemoteOnce() {
     ++stats_.pruning_demotions;
     return true;
   }
-  if (policy_.allow_parallel_demotion &&
-      options_.sweep_mode == SweepMode::kParallelSnapshot) {
-    options_.sweep_mode = SweepMode::kSerial;
-    ++stats_.parallel_demotions;
-    return true;
-  }
   return false;  // ladder exhausted
 }
 

@@ -22,11 +22,11 @@
 //     recovery consumes one unit of the `max_rollbacks` budget and sleeps a
 //     full-jitter backoff first (the serve/retry.h policy semantics,
 //     re-implemented here because core cannot link serve).
-//   * Graceful degradation — repeated I/O faults walk a demotion ladder:
-//     mmap store -> in-memory copy, then pruning on -> off, then parallel
-//     sweep -> serial. A demotion rebuilds the solver with the downgraded
-//     configuration and warm-starts it from the last good assignment, so
-//     progress carries across the rebuild.
+//   * Graceful degradation — repeated I/O faults walk a two-rung demotion
+//     ladder: mmap store -> in-memory copy, then pruning on -> off. A
+//     demotion rebuilds the solver with the downgraded configuration and
+//     warm-starts it from the last good assignment, so progress carries
+//     across the rebuild.
 //
 // Determinism note: a rollback replays sweeps the solver already ran, and
 // Snapshot/Restore replays are bit-identical, so a supervised run that
@@ -90,9 +90,8 @@ struct SupervisorPolicy {
   // --- Demotion ladder on repeated I/O faults.
   /// Consecutive I/O faults that trigger one demotion rung.
   int io_faults_per_demotion = 2;
-  bool allow_store_demotion = true;     ///< mmap store -> in-memory.
-  bool allow_pruning_demotion = true;   ///< enable_pruning -> false.
-  bool allow_parallel_demotion = true;  ///< kParallelSnapshot -> kSerial.
+  bool allow_store_demotion = true;    ///< mmap store -> in-memory.
+  bool allow_pruning_demotion = true;  ///< enable_pruning -> false.
 };
 
 /// \brief Everything the self-healing loop did, surfaced through the CLI
@@ -105,7 +104,6 @@ struct SupervisorStats {
   int io_faults = 0;           ///< I/O-class errors (sweep, store, ckpt).
   int store_demotions = 0;     ///< mmap -> memory rebuilds.
   int pruning_demotions = 0;   ///< pruning disabled rebuilds.
-  int parallel_demotions = 0;  ///< parallel -> serial rebuilds.
   int checkpoints_saved = 0;
   /// Best-effort parent-directory fsyncs that failed during the run
   /// (io::DirFsyncFailures delta; nonzero means rename durability is

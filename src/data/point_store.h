@@ -32,8 +32,9 @@
 //     hands fully-swept shards back, which is what bounds RSS below the
 //     dataset footprint for out-of-core runs (core::ShardedSweep).
 //
-// The store is read-only after construction, so the snapshot-parallel sweep
-// can stream it from every worker thread. Mmap-backed stores own a file
+// Apart from the online engine's AppendRow/SwapRemoveRow (mem stores only,
+// called from the owning session's thread), the store is read-only after
+// construction, so const reads need no locking. Mmap-backed stores own a file
 // mapping, so PointStore is move-only; share one across sessions via the
 // shared_ptr<const PointStore> that Create()/Open() return.
 //

@@ -46,10 +46,12 @@ struct RunConfig {
   Method method = Method::kFairKMAll;
   /// The full FairKM configuration, embedded verbatim (core/fairkm.h) — the
   /// single source of truth for every FairKM knob (k, lambda,
-  /// max_iterations, fairness-term construction, mini-batch, sweep mode,
-  /// threads, pruning). The structural fields every method shares — k and
-  /// max_iterations — are read from here by the non-FairKM methods too (the
-  /// S-blind K-Means reference keeps its own fixed 100-iteration Lloyd cap).
+  /// max_iterations, fairness-term construction, mini-batch, pruning). The
+  /// structural fields every method shares — k and max_iterations — are
+  /// read from here by the non-FairKM methods too (the S-blind K-Means
+  /// reference keeps its own fixed 100-iteration Lloyd cap). Every session
+  /// sweeps serially; the runner's only parallelism is across seeds (the
+  /// ExperimentRunner num_threads argument).
   core::FairKMOptions fairkm;
   /// ZGYA lambda; negative = auto balance (see cluster/zgya.h).
   double zgya_lambda = -1.0;
@@ -141,7 +143,7 @@ class ExperimentRunner {
                               MethodSession* session) const;
 
   /// \brief Runs `num_seeds` seeds (base_seed, base_seed+1, ...) and
-  /// aggregates. Serial runners (num_threads = 1) share one session across
+  /// aggregates. Single-threaded runners share one session across
   /// all seeds; seed-parallel runners keep a session POOL — one warm session
   /// per worker, each driving a contiguous chunk of seeds — so solver reuse
   /// survives parallelization. Aggregation order is deterministic either

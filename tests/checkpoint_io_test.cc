@@ -1,12 +1,14 @@
 // Durable solver checkpoints: field-exact round-trips through the on-disk
 // format, corruption (torn/truncated/bit-flipped files) surfacing as
-// kDataLoss, auto-checkpointing Run budgets, and newest-valid-wins resume
-// with fallback past corrupt files — all under deterministic fault
+// kDataLoss, checkpoints of the removed parallel sweep mode refused as
+// kInvalidArgument, auto-checkpointing Run budgets, and newest-valid-wins
+// resume with fallback past corrupt files — all under deterministic fault
 // injection, with zero crashes.
 
 #include "core/checkpoint_io.h"
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -67,7 +69,6 @@ void ExpectCheckpointsEqual(const SolverCheckpoint& a,
   EXPECT_EQ(a.num_rows, b.num_rows);
   EXPECT_EQ(a.k, b.k);
   EXPECT_EQ(a.batch_size, b.batch_size);
-  EXPECT_EQ(a.parallel, b.parallel);
   EXPECT_EQ(a.lambda, b.lambda);
   EXPECT_EQ(a.sweeps_completed, b.sweeps_completed);
   EXPECT_EQ(a.converged, b.converged);
@@ -467,6 +468,51 @@ TEST_F(CheckpointIoTest, LoadIntoMismatchedSolverIsInvalidArgument) {
       FairKMSolver::Create(&world.points, &world.sensitive, other).ValueOrDie();
   EXPECT_EQ(mismatched.LoadCheckpoint(path).code(),
             StatusCode::kInvalidArgument);
+}
+
+// The meta section keeps the byte the removed parallel sweep mode used to
+// set; writers emit 0. A file carrying 1 there is intact but unloadable, so
+// it must read as kInvalidArgument — not as corruption, and not silently.
+TEST_F(CheckpointIoTest, RemovedParallelSweepByteIsInvalidArgument) {
+  const SeededWorld world = MakeSeededWorld(92);
+  const SolverCheckpoint cp = TrainedCheckpoint(world, BaseOptions(), 2);
+  const std::string path = Path("ckpt.fkmc");
+  ASSERT_TRUE(WriteSolverCheckpoint(path, cp).ok());
+
+  // Re-frame the file with the byte set: the header's magic and version
+  // come from the file itself, and the container recomputes every CRC.
+  std::string bytes;
+  ASSERT_TRUE(io::ReadFile(path, &bytes, "test").ok());
+  ASSERT_GE(bytes.size(), 8u);
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  std::memcpy(&magic, bytes.data(), sizeof(magic));
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  io::SectionFile file =
+      io::ReadSectionFile(path, magic, version, "test").ValueOrDie();
+  ASSERT_FALSE(file.sections.empty());
+  io::Section& meta = file.sections.front();  // num_rows:u64 k:u32 batch:u64
+  constexpr size_t kParallelByte = 8 + 4 + 8;
+  ASSERT_GT(meta.payload.size(), kParallelByte);
+  ASSERT_EQ(meta.payload[kParallelByte], '\0');
+  meta.payload[kParallelByte] = '\1';
+  ASSERT_TRUE(
+      io::WriteSectionFile(path, magic, version, file.sections, "test").ok());
+
+  const Status read = ReadSolverCheckpoint(path).status();
+  EXPECT_EQ(read.code(), StatusCode::kInvalidArgument) << read.ToString();
+  EXPECT_NE(read.message().find("removed parallel sweep mode"),
+            std::string::npos)
+      << read.ToString();
+
+  FairKMSolver solver =
+      FairKMSolver::Create(&world.points, &world.sensitive, BaseOptions())
+          .ValueOrDie();
+  const Status load = solver.LoadCheckpoint(path);
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load.ToString();
+  EXPECT_NE(load.message().find("removed parallel sweep mode"),
+            std::string::npos)
+      << load.ToString();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // FairKMSolver session-API lifecycle tests: wrapper equivalence, stepwise
-// sweeps, checkpoint-resume and warm-start bit-identity (all SweepModes x
-// pruning settings), cooperative cancellation consistency, budgets, and the
+// sweeps, checkpoint-resume and warm-start bit-identity (every mini-batch x
+// pruning setting), cooperative cancellation consistency, budgets, and the
 // out-of-sample Assign() path cross-checked against brute force.
 
 #include "core/solver.h"
@@ -36,22 +36,20 @@ using testutil::WorldSpec;
 struct ModeParam {
   const char* name;
   int minibatch;
-  SweepMode sweep;
   bool pruning;
 };
 
-// Every SweepMode x pruning combination (the parallel snapshot sweep
-// requires a mini-batch). The kernel-backend axis is covered by running the
-// whole suite under FAIRKM_FORCE_SCALAR in CI; the pruning-off axis is
-// additionally covered by FAIRKM_DISABLE_PRUNING, which both sides of every
-// comparison see identically.
+// Every mini-batch x pruning combination, plus a mini-batch larger than the
+// 60-point worlds (one batch spans the whole sweep). The kernel-backend axis
+// is covered by running the whole suite under FAIRKM_FORCE_SCALAR in CI; the
+// pruning-off axis is additionally covered by FAIRKM_DISABLE_PRUNING, which
+// both sides of every comparison see identically.
 const ModeParam kModes[] = {
-    {"serial", 0, SweepMode::kSerial, true},
-    {"serial-exact", 0, SweepMode::kSerial, false},
-    {"minibatch", 16, SweepMode::kSerial, true},
-    {"minibatch-exact", 16, SweepMode::kSerial, false},
-    {"parallel", 16, SweepMode::kParallelSnapshot, true},
-    {"parallel-exact", 16, SweepMode::kParallelSnapshot, false},
+    {"serial", 0, true},
+    {"serial-exact", 0, false},
+    {"minibatch", 16, true},
+    {"minibatch-exact", 16, false},
+    {"minibatch-oversized", 64, true},
 };
 
 FairKMOptions OptionsFor(const ModeParam& mode) {
@@ -60,7 +58,6 @@ FairKMOptions OptionsFor(const ModeParam& mode) {
   options.lambda = 60.0;
   options.max_iterations = 12;
   options.minibatch_size = mode.minibatch;
-  options.sweep_mode = mode.sweep;
   options.enable_pruning = mode.pruning;
   return options;
 }
@@ -158,7 +155,7 @@ TEST(FairKMSolverTest, SnapshotResumeIsBitIdentical) {
 
 // The durable path (SaveCheckpoint -> file -> LoadCheckpoint) must preserve
 // the same bit-identical-resume contract as the in-memory Snapshot/Restore
-// pair, in every SweepMode x pruning combination. (The kernel-backend axis
+// pair, in every mini-batch x pruning combination. (The kernel-backend axis
 // is covered by the CI scalar-forced job running this same suite.)
 TEST(FairKMSolverTest, DurableCheckpointResumeIsBitIdentical) {
   namespace fs = std::filesystem;
@@ -198,8 +195,12 @@ TEST(FairKMSolverTest, DurableCheckpointResumeIsBitIdentical) {
 
 TEST(FairKMSolverTest, MidSweepCancelSnapshotResumeIsBitIdentical) {
   for (const ModeParam& mode : kModes) {
-    if (mode.minibatch == 0) continue;  // Mid-sweep needs >1 batch per sweep.
     const SeededWorld world = MakeSeededWorld(74);
+    // Mid-sweep needs more than one batch per sweep.
+    if (mode.minibatch == 0 ||
+        static_cast<size_t>(mode.minibatch) >= world.points.rows()) {
+      continue;
+    }
     const FairKMOptions options = OptionsFor(mode);
 
     FairKMSolver reference = MakeSolver(world, options);
@@ -241,7 +242,7 @@ TEST(FairKMSolverTest, MidSweepCancelSnapshotResumeIsBitIdentical) {
 }
 
 TEST(FairKMSolverTest, CancellationLeavesConsistentQueryableState) {
-  const ModeParam mode = {"minibatch", 16, SweepMode::kSerial, true};
+  const ModeParam mode = {"minibatch", 16, true};
   const SeededWorld world = MakeSeededWorld(75);
   const FairKMOptions options = OptionsFor(mode);
 
@@ -571,9 +572,32 @@ TEST(FairKMSolverTest, LifecycleGuardsAndCheckpointValidation) {
   bad.max_iterations = 0;
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());
   bad = options;
-  bad.sweep_mode = SweepMode::kParallelSnapshot;
-  bad.minibatch_size = 0;
+  bad.minibatch_size = -1;
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());
+}
+
+// A mini-batch larger than the dataset is one batch spanning the whole sweep:
+// it must take exactly the trajectory of a batch sized to the dataset.
+TEST(FairKMParallel, HandlesBatchLargerThanDataset) {
+  WorldSpec spec;
+  spec.per_blob = 5;  // 15 points, one 64-point "batch".
+  const SeededWorld world = MakeSeededWorld(17, spec);
+  FairKMOptions options;
+  options.k = world.k;
+  options.max_iterations = 6;
+  options.minibatch_size = 64;
+  Rng oversized_rng(55);
+  const FairKMResult got =
+      RunFairKM(world.points, world.sensitive, options, &oversized_rng)
+          .ValueOrDie();
+  EXPECT_FALSE(got.assignment.empty());
+
+  FairKMOptions exact = options;
+  exact.minibatch_size = static_cast<int>(world.points.rows());
+  Rng exact_rng(55);
+  const FairKMResult want =
+      RunFairKM(world.points, world.sensitive, exact, &exact_rng).ValueOrDie();
+  ExpectSameTrajectory(got, want, "batch 64 vs batch n");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Serving-tier AssignBatch tests: the batched kernel path must pick
 // bit-identical clusters to the scalar FairKMSolver::Assign oracle in every
-// SweepMode x pruning x kernel-backend combination, and the snapshot /
+// mini-batch x pruning x kernel-backend combination, and the snapshot /
 // validation edge cases (ragged views, empty models, zero-row requests,
 // scratch reuse) must behave exactly like the scalar path.
 
@@ -24,7 +24,6 @@ namespace {
 
 using core::FairKMOptions;
 using core::FairKMSolver;
-using core::SweepMode;
 using testutil::MakeSeededWorld;
 using testutil::SeededWorld;
 using testutil::WorldSpec;
@@ -32,17 +31,14 @@ using testutil::WorldSpec;
 struct ModeParam {
   const char* name;
   int minibatch;
-  SweepMode sweep;
   bool pruning;
 };
 
 const ModeParam kModes[] = {
-    {"serial", 0, SweepMode::kSerial, true},
-    {"serial-exact", 0, SweepMode::kSerial, false},
-    {"minibatch", 16, SweepMode::kSerial, true},
-    {"minibatch-exact", 16, SweepMode::kSerial, false},
-    {"parallel", 16, SweepMode::kParallelSnapshot, true},
-    {"parallel-exact", 16, SweepMode::kParallelSnapshot, false},
+    {"serial", 0, true},
+    {"serial-exact", 0, false},
+    {"minibatch", 16, true},
+    {"minibatch-exact", 16, false},
 };
 
 FairKMOptions OptionsFor(const ModeParam& mode) {
@@ -51,7 +47,6 @@ FairKMOptions OptionsFor(const ModeParam& mode) {
   options.lambda = 60.0;
   options.max_iterations = 12;
   options.minibatch_size = mode.minibatch;
-  options.sweep_mode = mode.sweep;
   options.enable_pruning = mode.pruning;
   return options;
 }

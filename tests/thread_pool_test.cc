@@ -53,30 +53,5 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ParallelForTest, CoversAllIndices) {
-  std::vector<int> hits(1000, 0);
-  ParallelFor(1000, 8, [&](size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForTest, ZeroCountIsNoop) {
-  bool called = false;
-  ParallelFor(0, 4, [&](size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, SerialFallbackMatches) {
-  std::vector<int> serial(64, 0), parallel(64, 0);
-  ParallelFor(64, 1, [&](size_t i) { serial[i] = static_cast<int>(i) * 3; });
-  ParallelFor(64, 16, [&](size_t i) { parallel[i] = static_cast<int>(i) * 3; });
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(ParallelForTest, MoreThreadsThanWork) {
-  std::atomic<int> counter{0};
-  ParallelFor(3, 64, [&](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 3);
-}
-
 }  // namespace
 }  // namespace fairkm

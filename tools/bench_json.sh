@@ -88,7 +88,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${OUT:-BENCH_scaling.json}
-FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_ParallelSweep|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_'}
+FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_'}
 MIN_TIME=${MIN_TIME:-0.2}
 MIN_SPEEDUP=${MIN_SPEEDUP:-2.0}
 MIN_SIMD_RATIO=${MIN_SIMD_RATIO:-0.9}

@@ -2,7 +2,7 @@
 # CI entry point: tier-1 verify (configure, build, full ctest), an explicit
 # fault-injection/durability gate, then an ASan/UBSan build of the
 # unit+integration suites and a TSan build of the suites that exercise the
-# parallel sweep, the thread pool and the serving tier.
+# thread pool (and its experiment-runner user) and the serving tier.
 #
 #   tools/check.sh            # everything
 #   tools/check.sh --fast     # tier-1 only, skip the sanitizer passes
@@ -95,7 +95,7 @@ cmake -B "$SAN_BUILD_DIR" -S . \
 cmake --build "$SAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$SAN_BUILD_DIR" --output-on-failure -j "$JOBS" -L 'unit|integration'
 
-echo "== sanitizers: TSan parallel-sweep + thread-pool suites (${TSAN_BUILD_DIR}) =="
+echo "== sanitizers: TSan thread-pool + runner + serving suites (${TSAN_BUILD_DIR}) =="
 cmake -B "$TSAN_BUILD_DIR" -S . \
   -DFAIRKM_SANITIZE_THREAD=ON \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -103,6 +103,6 @@ cmake -B "$TSAN_BUILD_DIR" -S . \
   -DFAIRKM_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$JOBS" \
-  -R 'FairKMParallel|ThreadPool|FairKMCrossCheck.ParallelSnapshot|StressScaling.Optimizer|Pruning|FairKMSolver|Serve|RetryPolicy|Online'
+  -R 'ThreadPool|RunnerTest.ParallelAndSerialAggregationAgree|Pruning|FairKMSolver|Serve|RetryPolicy|Online'
 
 echo "== all checks passed =="
