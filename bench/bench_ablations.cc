@@ -12,7 +12,6 @@
 #include "bench_common.h"
 #include "common/timer.h"
 #include "core/fairkm.h"
-#include "core/solver.h"
 #include "exp/table.h"
 #include "metrics/fairness.h"
 #include "metrics/quality.h"
@@ -20,22 +19,8 @@
 namespace {
 
 using namespace fairkm;
-
-// Session-API replacement for the retired RunFairKM wrapper (bit-identical
-// trajectories): Create + Init + Run + CurrentResult.
-Result<core::FairKMResult> RunSession(const data::Matrix& points,
-                                      const data::SensitiveView& sensitive,
-                                      const core::FairKMOptions& options,
-                                      Rng* rng) {
-  FAIRKM_ASSIGN_OR_RETURN(
-      core::FairKMSolver solver,
-      core::FairKMSolver::Create(&points, &sensitive, options));
-  FAIRKM_RETURN_NOT_OK(solver.Init(rng));
-  FAIRKM_ASSIGN_OR_RETURN(core::RunStop stop, solver.Run());
-  (void)stop;
-  return solver.CurrentResult();
-}
 using bench::BenchEnv;
+using bench::RunSession;
 
 void AblateClusterWeighting(const exp::ExperimentData& data, const BenchEnv& env) {
   std::printf("\n[A] Cluster weighting (Eq. 6) — Kinematics, k=5\n");

@@ -6,6 +6,7 @@
 
 #include "common/args.h"
 #include "common/thread_pool.h"
+#include "core/solver.h"
 
 namespace fairkm {
 namespace bench {
@@ -61,6 +62,19 @@ double ImprovementPercent(double fairkm, double baseline_a, double baseline_b) {
   const double best = std::min(baseline_a, baseline_b);
   if (best == 0.0) return 0.0;
   return 100.0 * (best - fairkm) / best;
+}
+
+Result<core::FairKMResult> RunSession(const data::Matrix& points,
+                                      const data::SensitiveView& sensitive,
+                                      const core::FairKMOptions& options,
+                                      Rng* rng) {
+  FAIRKM_ASSIGN_OR_RETURN(
+      core::FairKMSolver solver,
+      core::FairKMSolver::Create(&points, &sensitive, options));
+  FAIRKM_RETURN_NOT_OK(solver.Init(rng));
+  FAIRKM_ASSIGN_OR_RETURN(core::RunStop stop, solver.Run());
+  (void)stop;
+  return solver.CurrentResult();
 }
 
 }  // namespace bench

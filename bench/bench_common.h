@@ -12,6 +12,11 @@
 #include <cstddef>
 #include <string>
 
+#include "common/rng.h"
+#include "common/status.h"
+#include "core/fairkm.h"
+#include "data/matrix.h"
+#include "data/sensitive.h"
 #include "exp/datasets.h"
 #include "exp/runner.h"
 
@@ -42,6 +47,13 @@ void PrintBanner(const std::string& title, const BenchEnv& env);
 /// \brief FairKM improvement over the best baseline, in percent (the paper's
 /// "FairKM Impr(%)" column): 100 * (best_baseline - fairkm) / best_baseline.
 double ImprovementPercent(double fairkm, double baseline_a, double baseline_b);
+
+/// \brief One blocking FairKM run through the session API: Create + Init +
+/// Run + CurrentResult on a fresh core::FairKMSolver.
+Result<core::FairKMResult> RunSession(const data::Matrix& points,
+                                      const data::SensitiveView& sensitive,
+                                      const core::FairKMOptions& options,
+                                      Rng* rng);
 
 }  // namespace bench
 }  // namespace fairkm

@@ -40,22 +40,7 @@
 namespace {
 
 using namespace fairkm;
-
-
-// The solver-session equivalent of the retired RunFairKM wrapper — same
-// draws, same trajectory; one Create + Init + Run + CurrentResult per call.
-Result<core::FairKMResult> RunSession(const data::Matrix& points,
-                                      const data::SensitiveView& sensitive,
-                                      const core::FairKMOptions& options,
-                                      Rng* rng) {
-  FAIRKM_ASSIGN_OR_RETURN(
-      core::FairKMSolver solver,
-      core::FairKMSolver::Create(&points, &sensitive, options));
-  FAIRKM_RETURN_NOT_OK(solver.Init(rng));
-  FAIRKM_ASSIGN_OR_RETURN(core::RunStop stop, solver.Run());
-  (void)stop;
-  return solver.CurrentResult();
-}
+using bench::RunSession;
 
 const exp::ExperimentData& AdultSlice(size_t rows) {
   static std::map<size_t, std::unique_ptr<exp::ExperimentData>> cache;

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
               data.name.c_str(), data.features.rows(), k, center);
 
   // One FairKMSolver serves the whole sweep: the aligned point store, norm
-  // caches and every buffer are built at the first Init and reused for each
+  // caches and every buffer are built once and reused for each
   // lambda point (SetLambda + re-Init is the session API's warm path) —
   // per-point cost is pure optimization, not setup.
   core::FairKMOptions options;

@@ -49,10 +49,10 @@ Result<Assignment> MakeInitialAssignment(const data::Matrix& points, int k,
                                          KMeansInit init, Rng* rng);
 
 /// \brief The kRandomAssignment strategy without the matrix: depends only on
-/// (n, k, rng draws), so store-backed sessions (out-of-core PointStore runs
-/// with no data::Matrix in memory) draw the SAME initial assignment as a
-/// matrix-backed session with an equal seed. MakeInitialAssignment's
-/// kRandomAssignment branch routes through this.
+/// (n, k, rng draws). Every FairKM session draws its initial assignment here
+/// (paper Algorithm 1 step 1), whatever backs its PointStore.
+/// MakeInitialAssignment's kRandomAssignment branch routes through this, so
+/// equal seeds give equal starting points across K-Means and FairKM.
 Result<Assignment> MakeRandomAssignment(size_t n, int k, Rng* rng);
 
 }  // namespace cluster

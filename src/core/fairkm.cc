@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/solver.h"
-
 namespace fairkm {
 namespace core {
 
@@ -29,22 +27,6 @@ Status FairKMOptions::Validate() const {
     return Status::InvalidArgument("min_improvement must be >= 0");
   }
   return Status::OK();
-}
-
-// Compatibility wrapper: one blocking run of the FairKMSolver session
-// (core/solver.h), which owns the Algorithm-1 sweep engine. Equal inputs and
-// rng draws yield trajectories bit-identical to the historical in-place
-// implementation.
-Result<FairKMResult> RunFairKM(const data::Matrix& points,
-                               const data::SensitiveView& sensitive,
-                               const FairKMOptions& options, Rng* rng) {
-  if (rng == nullptr) return Status::InvalidArgument("rng must not be null");
-  FAIRKM_ASSIGN_OR_RETURN(FairKMSolver solver,
-                          FairKMSolver::Create(&points, &sensitive, options));
-  FAIRKM_RETURN_NOT_OK(solver.Init(rng));
-  FAIRKM_ASSIGN_OR_RETURN(RunStop stop, solver.Run());
-  (void)stop;  // Converged or hit max_iterations; both finalize below.
-  return solver.CurrentResult();
 }
 
 }  // namespace core

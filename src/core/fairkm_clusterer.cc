@@ -123,7 +123,13 @@ void EnsureFairKMClustererRegistered() {
           if (generic.max_iterations > 0) {
             options.max_iterations = generic.max_iterations;
           }
-          if (generic.init) options.init = *generic.init;
+          // FairKM always starts from the paper's random assignment
+          // (Algorithm 1 step 1); it has no other initialization.
+          if (generic.init &&
+              *generic.init != cluster::KMeansInit::kRandomAssignment) {
+            return Status::InvalidArgument(
+                "fairkm supports only KMeansInit::kRandomAssignment");
+          }
           return std::unique_ptr<cluster::Clusterer>(
               new FairKMClusterer(options, generic.attribute));
         })

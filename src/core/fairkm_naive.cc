@@ -1,5 +1,7 @@
 #include "core/fairkm_naive.h"
 
+#include "cluster/kmeans.h"
+
 namespace fairkm {
 namespace core {
 
@@ -21,9 +23,8 @@ Result<FairKMResult> RunFairKMNaive(const data::Matrix& points,
   const int k = options.k;
   const double lambda = options.lambda < 0 ? SuggestLambda(n, k) : options.lambda;
 
-  FAIRKM_ASSIGN_OR_RETURN(
-      cluster::Assignment assignment,
-      cluster::MakeInitialAssignment(points, k, options.init, rng));
+  FAIRKM_ASSIGN_OR_RETURN(cluster::Assignment assignment,
+                          cluster::MakeRandomAssignment(n, k, rng));
 
   FairKMResult result;
   result.lambda_used = lambda;

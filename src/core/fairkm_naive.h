@@ -1,7 +1,7 @@
 // Naive reference implementation of FairKM.
 //
-// Identical search procedure to RunFairKM, but every candidate move is
-// evaluated by recomputing the full objective (Eq. 1) from scratch —
+// Identical search procedure to core::FairKMSolver, but every candidate move
+// is evaluated by recomputing the full objective (Eq. 1) from scratch —
 // O(n d + sum_S m_S) per candidate instead of O(d + sum_S m_S) deltas. This
 // exists purely as ground truth: property tests check that the fast
 // incremental optimizer makes the same decisions and reaches the same
@@ -11,6 +11,7 @@
 #ifndef FAIRKM_CORE_FAIRKM_NAIVE_H_
 #define FAIRKM_CORE_FAIRKM_NAIVE_H_
 
+#include "common/rng.h"
 #include "core/fairkm.h"
 
 namespace fairkm {

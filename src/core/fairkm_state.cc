@@ -32,22 +32,10 @@ size_t ResidencyChunkRows(size_t stride) {
 
 }  // namespace
 
-FairKMState::FairKMState(const data::Matrix* points,
-                         const data::SensitiveView* sensitive, int k,
-                         FairnessTermConfig config)
-    : points_(points),
-      sensitive_(sensitive),
-      k_(k),
-      n_(points->rows()),
-      d_(points->cols()),
-      stride_(data::PaddedStride(points->cols())),
-      config_(config) {}
-
 FairKMState::FairKMState(std::shared_ptr<const data::PointStore> store,
                          const data::SensitiveView* sensitive, int k,
                          FairnessTermConfig config)
-    : points_(nullptr),
-      sensitive_(sensitive),
+    : sensitive_(sensitive),
       k_(k),
       n_(store->rows()),
       d_(store->cols()),
@@ -56,24 +44,14 @@ FairKMState::FairKMState(std::shared_ptr<const data::PointStore> store,
       store_(std::move(store)) {}
 
 Result<FairKMState> FairKMState::Create(const data::Matrix* points,
-                                        const data::SensitiveView* sensitive, int k,
-                                        cluster::Assignment initial,
+                                        const data::SensitiveView* sensitive,
+                                        int k, cluster::Assignment initial,
                                         FairnessTermConfig config) {
   if (points == nullptr || sensitive == nullptr) {
     return Status::InvalidArgument("points/sensitive must not be null");
   }
-  if (k <= 0) return Status::InvalidArgument("k must be positive");
-  FAIRKM_RETURN_NOT_OK(cluster::ValidateAssignment(initial, points->rows(), k));
-  // Full structural audit, not just num_rows() (which reads only the first
-  // attribute): every attribute's length, fraction table and code range —
-  // BuildAggregates indexes all of them unchecked.
-  FAIRKM_RETURN_NOT_OK(sensitive->Validate(points->rows()));
-  // The aligned point store about to be built streams these coordinates
-  // through every kernel unchecked — refuse NaN/Inf here, at the boundary.
-  FAIRKM_RETURN_NOT_OK(data::ValidateFinite(*points, "points"));
-  FairKMState state(points, sensitive, k, config);
-  state.BuildAggregates(std::move(initial));
-  return state;
+  return Create(std::make_shared<const data::PointStore>(*points), sensitive,
+                k, std::move(initial), config);
 }
 
 Result<FairKMState> FairKMState::Create(
@@ -83,16 +61,19 @@ Result<FairKMState> FairKMState::Create(
   if (store == nullptr || sensitive == nullptr) {
     return Status::InvalidArgument("store/sensitive must not be null");
   }
-  if (store->empty()) {
-    return Status::InvalidArgument("point store must not be empty");
+  if (store->cols() == 0) {
+    return Status::InvalidArgument("points need at least one feature column");
   }
   if (k <= 0) return Status::InvalidArgument("k must be positive");
   FAIRKM_RETURN_NOT_OK(cluster::ValidateAssignment(initial, store->rows(), k));
+  // Full structural audit, not just num_rows() (which reads only the first
+  // attribute): every attribute's length, fraction table and code range —
+  // BuildAggregates indexes all of them unchecked.
   FAIRKM_RETURN_NOT_OK(sensitive->Validate(store->rows()));
-  // Same boundary rule as the matrix path: kernels stream these rows
-  // unchecked. A store Open()ed from disk passed its CRC walk, but the CRC
-  // only proves the bytes are what the writer streamed — this rejects a
-  // store whose writer was fed NaN/Inf (RSS-bounded scan, evicts behind).
+  // Kernels stream these rows unchecked, so refuse NaN/Inf at the boundary.
+  // A store Open()ed from disk passed its CRC walk, but the CRC only proves
+  // the bytes are what the writer streamed — this rejects a store whose
+  // writer was fed NaN/Inf (RSS-bounded scan, evicts behind).
   FAIRKM_RETURN_NOT_OK(data::ValidateFiniteStore(*store, "points"));
   FairKMState state(std::move(store), sensitive, k, config);
   state.BuildAggregates(std::move(initial));
@@ -101,15 +82,9 @@ Result<FairKMState> FairKMState::Create(
 
 void FairKMState::BuildAggregates(cluster::Assignment initial) {
   assignment_ = std::move(initial);
-  // Immutable caches (aligned store, per-point norms): built once per
-  // (points, state) pair; a Reset over the same points skips the O(n d)
-  // copy and the allocations entirely — the multi-seed fast path. A
-  // store-backed state arrives with store_ already set (possibly mmap) and
-  // only needs the norm cache.
-  if (store_ == nullptr || store_->rows() != n_ || store_->cols() != d_) {
-    store_ = std::make_shared<data::PointStore>(*points_);
-    point_norms_.clear();
-  }
+  // The per-point norm cache is built once per state; a Reset over the same
+  // rows skips that O(n d) pass and its allocation — the multi-seed fast
+  // path. RebuildFromStore clears it to force a fresh pass.
   const size_t chunk_rows = ResidencyChunkRows(stride_);
   if (point_norms_.size() != n_) {
     point_norms_.assign(n_, 0.0);
@@ -193,11 +168,6 @@ Status FairKMState::Reset(cluster::Assignment initial) {
 }
 
 Status FairKMState::AdmitAppended(int to) {
-  if (points_ != nullptr) {
-    return Status::InvalidArgument(
-        "AdmitAppended needs a store-backed state (the matrix overload's "
-        "private store cannot grow)");
-  }
   if (to < 0 || to >= k_) {
     return Status::InvalidArgument("admit target cluster " +
                                    std::to_string(to) + " out of range");
@@ -242,10 +212,6 @@ Status FairKMState::AdmitAppended(int to) {
 }
 
 Status FairKMState::RetireSwapped(size_t r) {
-  if (points_ != nullptr) {
-    return Status::InvalidArgument(
-        "RetireSwapped needs a store-backed state");
-  }
   if (r >= n_) {
     return Status::InvalidArgument("retire row " + std::to_string(r) +
                                    " out of range (n = " + std::to_string(n_) +
@@ -299,10 +265,6 @@ void FairKMState::RefreshDatasetStats() {
 }
 
 Status FairKMState::RebuildFromStore(cluster::Assignment initial) {
-  if (points_ != nullptr) {
-    return Status::InvalidArgument(
-        "RebuildFromStore needs a store-backed state");
-  }
   if (store_->empty()) {
     return Status::InvalidArgument("point store must not be empty");
   }
@@ -521,8 +483,8 @@ void FairKMState::EnableBoundTracking(bool enable) {
 
 double FairKMState::DistanceToMean(size_t i, const double* sums, double count) const {
   // Store rows carry the same first d_ coordinates as the source matrix
-  // (padding lanes are untouched here), so this stays bit-identical to the
-  // historical matrix read and works for store-backed states too.
+  // (padding lanes are untouched here), so this stays bit-identical to a
+  // matrix read.
   const double* row = store_->Row(i);
   const double inv = 1.0 / count;
   double total = 0.0;
@@ -980,9 +942,8 @@ void FairKMState::Move(size_t i, int to) {
 double FairKMState::KMeansTerm() const {
   data::Matrix centroids = Centroids();
   // Same accumulation order as cluster::SumOfSquaredErrors over the source
-  // matrix — store rows equal matrix rows in the first d_ lanes — but read
-  // from the store so store-backed (matrix-free) states get the identical
-  // value.
+  // matrix — store rows equal matrix rows in the first d_ lanes — so the
+  // value is identical.
   double sse = 0.0;
   const size_t chunk_rows = ResidencyChunkRows(stride_);
   for (size_t base = 0; base < n_; base += chunk_rows) {

@@ -1,6 +1,6 @@
 // ShardedSweep — out-of-core mini-batch sweep driver over a PointStore.
 //
-// Wraps a store-backed FairKMSolver (core/solver.h) and partitions the row
+// Wraps a FairKMSolver (core/solver.h) over the store and partitions the row
 // range into contiguous shards, each a whole number of mini-batches. The
 // sweep itself is the solver's serial mini-batch engine (paper §6.1): every
 // point of a mini-batch is scored against the frozen prototype snapshot and
@@ -64,8 +64,8 @@ class ShardedSweep {
   ShardedSweep(ShardedSweep&&) noexcept = default;
   ShardedSweep& operator=(ShardedSweep&&) noexcept = default;
 
-  /// \brief Forwarded to FairKMSolver::Init (store-backed sessions accept
-  /// kRandomAssignment or a warm start).
+  /// \brief Forwarded to FairKMSolver::Init (the paper's random assignment,
+  /// or a warm start).
   Status Init(Rng* rng) { return solver_.Init(rng); }
   Status Init(uint64_t seed) { return solver_.Init(seed); }
   Status Init(cluster::Assignment warm_start) {

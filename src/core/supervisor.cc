@@ -80,19 +80,12 @@ Result<SupervisedRunner> SupervisedRunner::Create(
 
 Status SupervisedRunner::BuildSolver() {
   solver_.reset();
-  if (spec_.backend == data::PointStoreSpec::Backend::kMmap) {
-    FAIRKM_ASSIGN_OR_RETURN(std::shared_ptr<const data::PointStore> store,
-                            data::PointStore::Create(*points_, spec_));
-    FAIRKM_ASSIGN_OR_RETURN(
-        FairKMSolver solver,
-        FairKMSolver::Create(std::move(store), sensitive_, options_));
-    solver_ = std::make_unique<FairKMSolver>(std::move(solver));
-  } else {
-    FAIRKM_ASSIGN_OR_RETURN(
-        FairKMSolver solver,
-        FairKMSolver::Create(points_, sensitive_, options_));
-    solver_ = std::make_unique<FairKMSolver>(std::move(solver));
-  }
+  FAIRKM_ASSIGN_OR_RETURN(std::shared_ptr<const data::PointStore> store,
+                          data::PointStore::Create(*points_, spec_));
+  FAIRKM_ASSIGN_OR_RETURN(
+      FairKMSolver solver,
+      FairKMSolver::Create(std::move(store), sensitive_, options_));
+  solver_ = std::make_unique<FairKMSolver>(std::move(solver));
   return Status::OK();
 }
 
@@ -276,12 +269,10 @@ Result<RunStop> SupervisedRunner::Run(uint64_t seed, int max_sweeps,
 
     // Backing probe: a store file truncated under the mapping must surface
     // here as a typed fault, not as a SIGBUS inside the sweep kernels.
-    if (solver_->store() != nullptr) {
-      Status backing = solver_->store()->CheckBacking();
-      if (!backing.ok()) {
-        FAIRKM_RETURN_NOT_OK(HandleFault(FaultKind::kIO, backing));
-        continue;
-      }
+    Status backing = solver_->store()->CheckBacking();
+    if (!backing.ok()) {
+      FAIRKM_RETURN_NOT_OK(HandleFault(FaultKind::kIO, backing));
+      continue;
     }
 
     const int sweeps_before = solver_->sweeps_completed();

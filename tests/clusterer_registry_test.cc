@@ -14,11 +14,7 @@
 #include "core/fairkm.h"
 #include "core/solver.h"
 #include "testlib/worlds.h"
-
-// This suite is an intentional caller of the deprecated RunFairKM wrapper:
-// it is (part of) the oracle pinning the wrapper's bit-identical-to-solver
-// contract, so the deprecation warning is suppressed rather than ported away.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "test_util.h"
 
 
 namespace fairkm {
@@ -124,12 +120,26 @@ TEST(ClustererRegistryTest, FairKMViaRegistryMatchesRunFairKM) {
   direct.max_iterations = 10;
   Rng direct_rng(3);
   const core::FairKMResult via_direct =
-      core::RunFairKM(world.points, world.sensitive, direct, &direct_rng)
+      testutil::RunFairKMSession(world.points, world.sensitive, direct,
+                                 &direct_rng)
           .ValueOrDie();
   EXPECT_EQ(via_registry.assignment, via_direct.assignment);
   EXPECT_EQ(via_registry.lambda_used, via_direct.lambda_used);
   EXPECT_EQ(via_registry.iterations, via_direct.iterations);
   EXPECT_EQ(via_registry.sweep_seconds > 0.0, via_direct.sweep_seconds > 0.0);
+}
+
+TEST(ClustererRegistryTest, FairKMRejectsNonRandomInit) {
+  core::EnsureFairKMClustererRegistered();
+  ClustererOptions options;
+  options.k = 3;
+  options.init = KMeansInit::kKMeansPlusPlus;
+  const auto created = CreateClusterer("fairkm", options);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+
+  options.init = KMeansInit::kRandomAssignment;
+  EXPECT_TRUE(CreateClusterer("fairkm", options).ok());
 }
 
 TEST(ClustererRegistryTest, FairKMAdapterWarmReuseIsBitIdentical) {
@@ -202,7 +212,8 @@ TEST(ClustererRegistryTest, FairKMAdapterAttributeRestriction) {
       world.sensitive.SelectCategorical(attr_name).ValueOrDie();
   Rng direct_rng(6);
   const core::FairKMResult via_direct =
-      core::RunFairKM(world.points, single, options, &direct_rng).ValueOrDie();
+      testutil::RunFairKMSession(world.points, single, options, &direct_rng)
+          .ValueOrDie();
   EXPECT_EQ(via_adapter.assignment, via_direct.assignment);
 
   auto missing = core::MakeFairKMClusterer(options, "not-an-attribute");

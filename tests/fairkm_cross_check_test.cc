@@ -1,4 +1,4 @@
-// Cross-check: the incremental optimizer (RunFairKM) and the brute-force
+// Cross-check: the incremental optimizer (FairKMSolver) and the brute-force
 // reference (RunFairKMNaive) must walk the same objective trajectory on
 // seeded 3-blob worlds — same move decisions, same per-sweep objectives
 // within 1e-9, same final clustering.
@@ -11,11 +11,7 @@
 #include "core/fairkm_naive.h"
 #include "core/objective.h"
 #include "testlib/worlds.h"
-
-// This suite is an intentional caller of the deprecated RunFairKM wrapper:
-// it is (part of) the oracle pinning the wrapper's bit-identical-to-solver
-// contract, so the deprecation warning is suppressed rather than ported away.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "test_util.h"
 
 
 namespace fairkm {
@@ -45,9 +41,9 @@ core::FairKMResult RunOptimizer(bool naive, const SeededWorld& world,
   // Fresh generators with the same seed: both optimizers consume randomness
   // only for the initial assignment, so their starting points coincide.
   Rng rng(seed);
-  auto result = naive
-                    ? core::RunFairKMNaive(world.points, world.sensitive, options, &rng)
-                    : core::RunFairKM(world.points, world.sensitive, options, &rng);
+  auto result =
+      naive ? core::RunFairKMNaive(world.points, world.sensitive, options, &rng)
+            : RunFairKMSession(world.points, world.sensitive, options, &rng);
   if (!result.ok()) {
     // Fail this test but keep the binary alive; the empty result makes the
     // caller's comparisons fail loudly too.

@@ -1,6 +1,7 @@
-// FairKMSolver session-API lifecycle tests: wrapper equivalence, stepwise
-// sweeps, checkpoint-resume and warm-start bit-identity (every mini-batch x
-// pruning setting), cooperative cancellation consistency, budgets, and the
+// FairKMSolver session-API lifecycle tests: one-shot vs warm re-Init
+// equivalence, stepwise sweeps, checkpoint-resume and warm-start
+// bit-identity (every mini-batch x pruning setting), cooperative
+// cancellation consistency, budgets, session ownership of the rows, and the
 // out-of-sample Assign() path cross-checked against brute force.
 
 #include "core/solver.h"
@@ -8,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,11 +18,7 @@
 #include "core/fairkm.h"
 #include "testlib/brute_force.h"
 #include "testlib/worlds.h"
-
-// This suite is an intentional caller of the deprecated RunFairKM wrapper:
-// it is (part of) the oracle pinning the wrapper's bit-identical-to-solver
-// contract, so the deprecation warning is suppressed rather than ported away.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+#include "test_util.h"
 
 
 namespace fairkm {
@@ -86,18 +84,23 @@ TEST(FairKMSolverTest, WrapperAndLifecycleAreBitIdentical) {
     const SeededWorld world = MakeSeededWorld(71);
     const FairKMOptions options = OptionsFor(mode);
 
-    Rng wrapper_rng(5);
-    const FairKMResult via_wrapper =
-        RunFairKM(world.points, world.sensitive, options, &wrapper_rng)
+    Rng one_shot_rng(5);
+    const FairKMResult one_shot =
+        testutil::RunFairKMSession(world.points, world.sensitive, options,
+                                   &one_shot_rng)
             .ValueOrDie();
 
+    // The lifecycle side is a warm session: a first run under another seed,
+    // then a re-Init under the one-shot seed.
     FairKMSolver solver = MakeSolver(world, options);
+    ASSERT_TRUE(solver.Init(uint64_t{6}).ok());
+    ASSERT_TRUE(solver.Run().ok());
     Rng solver_rng(5);
     ASSERT_TRUE(solver.Init(&solver_rng).ok());
     ASSERT_TRUE(solver.Run().ok());
     const FairKMResult via_solver = solver.CurrentResult().ValueOrDie();
 
-    ExpectSameTrajectory(via_wrapper, via_solver, mode.name);
+    ExpectSameTrajectory(one_shot, via_solver, mode.name);
   }
 }
 
@@ -564,7 +567,7 @@ TEST(FairKMSolverTest, LifecycleGuardsAndCheckpointValidation) {
     EXPECT_FALSE(pruning_off.Restore(checkpoint).ok());
   }
 
-  // Create-level validation mirrors RunFairKM.
+  // Create-level validation rejects invalid options (FairKMOptions::Validate).
   FairKMOptions bad = options;
   bad.k = 0;
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());
@@ -574,6 +577,60 @@ TEST(FairKMSolverTest, LifecycleGuardsAndCheckpointValidation) {
   bad = options;
   bad.minibatch_size = -1;
   EXPECT_FALSE(FairKMSolver::Create(&world.points, &world.sensitive, bad).ok());
+  // Rows without feature columns leave nothing to cluster on.
+  const data::Matrix no_features(world.points.rows(), 0);
+  EXPECT_FALSE(
+      FairKMSolver::Create(&no_features, &world.sensitive, options).ok());
+}
+
+// A solver or state created from a matrix owns a copy of its rows: the
+// matrix may be destroyed right after Create, and the runs must stay
+// bit-identical to control runs whose matrix stays alive.
+TEST(FairKMSolverTest, SessionsOutliveTheMatrixTheyWereCreatedFrom) {
+  const SeededWorld world = MakeSeededWorld(81);
+  const FairKMOptions options = OptionsFor(kModes[2]);
+
+  auto solver_rows = std::make_unique<data::Matrix>(world.points);
+  auto state_rows = std::make_unique<data::Matrix>(world.points);
+  FairKMSolver solver =
+      FairKMSolver::Create(solver_rows.get(), &world.sensitive, options)
+          .ValueOrDie();
+  FairKMState state =
+      FairKMState::Create(state_rows.get(), &world.sensitive, world.k,
+                          world.assignment)
+          .ValueOrDie();
+  solver_rows.reset();
+  state_rows.reset();
+
+  FairKMSolver control = MakeSolver(world, options);
+  ASSERT_TRUE(control.Init(uint64_t{13}).ok());
+  ASSERT_TRUE(control.Run().ok());
+  ASSERT_TRUE(solver.Init(uint64_t{13}).ok());
+  ASSERT_TRUE(solver.Run().ok());
+  const FairKMResult want = control.CurrentResult().ValueOrDie();
+  const FairKMResult got = solver.CurrentResult().ValueOrDie();
+  ExpectSameTrajectory(got, want, "solver");
+  EXPECT_EQ(got.centroids.data(), want.centroids.data());
+  EXPECT_EQ(got.kmeans_objective, want.kmeans_objective);
+  EXPECT_EQ(got.fairness_term, want.fairness_term);
+
+  FairKMState control_state =
+      FairKMState::Create(&world.points, &world.sensitive, world.k,
+                          world.assignment)
+          .ValueOrDie();
+  ASSERT_TRUE(state.Reset(world.assignment).ok());
+  for (size_t i = 0; i < world.points.rows(); i += 3) {
+    const int to = (state.cluster_of(i) + 1) % world.k;
+    state.Move(i, to);
+    control_state.Move(i, to);
+  }
+  EXPECT_EQ(state.assignment(), control_state.assignment());
+  EXPECT_EQ(state.KMeansTerm(), control_state.KMeansTerm());
+  EXPECT_EQ(state.FairnessTerm(), control_state.FairnessTerm());
+  EXPECT_EQ(state.Centroids().data(), control_state.Centroids().data());
+  for (int c = 0; c < world.k; ++c) {
+    EXPECT_EQ(state.DeltaKMeans(0, c), control_state.DeltaKMeans(0, c));
+  }
 }
 
 // A mini-batch larger than the dataset is one batch spanning the whole sweep:
@@ -588,7 +645,8 @@ TEST(FairKMParallel, HandlesBatchLargerThanDataset) {
   options.minibatch_size = 64;
   Rng oversized_rng(55);
   const FairKMResult got =
-      RunFairKM(world.points, world.sensitive, options, &oversized_rng)
+      testutil::RunFairKMSession(world.points, world.sensitive, options,
+                                 &oversized_rng)
           .ValueOrDie();
   EXPECT_FALSE(got.assignment.empty());
 
@@ -596,7 +654,9 @@ TEST(FairKMParallel, HandlesBatchLargerThanDataset) {
   exact.minibatch_size = static_cast<int>(world.points.rows());
   Rng exact_rng(55);
   const FairKMResult want =
-      RunFairKM(world.points, world.sensitive, exact, &exact_rng).ValueOrDie();
+      testutil::RunFairKMSession(world.points, world.sensitive, exact,
+                                 &exact_rng)
+          .ValueOrDie();
   ExpectSameTrajectory(got, want, "batch 64 vs batch n");
 }
 

@@ -187,11 +187,11 @@ TEST_F(SupervisorTest, RepeatedIOFaultsWalkTheDemotionLadder) {
   EXPECT_EQ(stats.rollbacks, 2);
   EXPECT_EQ(stats.store_demotions, 1);
   EXPECT_TRUE(stats.converged);
-  // After demotion the rebuilt solver no longer runs over the mmap store:
-  // it is either matrix-backed (no store at all) or memory-backed.
+  // After demotion the rebuilt solver runs over an in-memory store, no
+  // longer over the mmap one.
   const data::PointStore* store = runner.ValueOrDie().solver().store();
-  EXPECT_TRUE(store == nullptr ||
-              store->backend() == data::PointStoreSpec::Backend::kMemory);
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->backend(), data::PointStoreSpec::Backend::kMemory);
 }
 
 TEST_F(SupervisorTest, ResumeQuarantinesAllCorruptDirectory) {

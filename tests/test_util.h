@@ -76,11 +76,9 @@ inline data::NumericSensitive MakeNumeric(const std::vector<double>& values,
   return attr;
 }
 
-/// \brief One blocking FairKM run through the session API — what the
-/// deprecated core::RunFairKM wrapper did, spelled as Create + Init + Run +
-/// CurrentResult. Equal inputs and rng draws give bit-identical results;
-/// tests that exercise FairKM behaviour (not the wrapper itself) go through
-/// this so the deprecated symbol has no non-oracle callers left.
+/// \brief One blocking FairKM run through the session API: Create + Init +
+/// Run + CurrentResult. Equal inputs and rng draws give bit-identical
+/// results.
 inline Result<core::FairKMResult> RunFairKMSession(
     const data::Matrix& points, const data::SensitiveView& sensitive,
     const core::FairKMOptions& options, Rng* rng) {

@@ -52,7 +52,7 @@
 #      (tests/serve_assign_test.cc); only the scoring path differs.
 #   7. Sharded-sweep overhead: BM_FairKM_SnapshotSweep_Sharded (mmap store +
 #      core::ShardedSweep eviction) vs BM_FairKM_SnapshotSweep_InProcess
-#      (matrix-backed solver, same options and seed, bit-identical
+#      (solver over an in-memory store, same options and seed, bit-identical
 #      trajectory) must stay within MAX_SHARDED_OVERHEAD (default 1.15) —
 #      out-of-core residency control is bought with madvise calls and page
 #      refaults, not with a slower sweep. Store materialization is excluded
