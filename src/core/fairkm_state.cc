@@ -121,35 +121,37 @@ void FairKMState::BuildAggregates(cluster::Assignment initial) {
   // inner ones so repeated Resets reuse their capacity.
   const size_t num_cat = sensitive_->categorical.size();
   const size_t num_num = sensitive_->numeric.size();
-  cat_counts_.resize(num_cat);
+  moments_.cat_counts.resize(num_cat);
   for (size_t a = 0; a < num_cat; ++a) {
     const auto& attr = sensitive_->categorical[a];
-    cat_counts_[a].assign(static_cast<size_t>(k_) * attr.cardinality, 0);
+    std::vector<int64_t>& counts = moments_.cat_counts[a];
+    counts.assign(static_cast<size_t>(k_) * attr.cardinality, 0);
     for (size_t i = 0; i < n_; ++i) {
-      ++cat_counts_[a][static_cast<size_t>(assignment_[i]) * attr.cardinality +
-                       attr.codes[i]];
+      ++counts[static_cast<size_t>(assignment_[i]) * attr.cardinality +
+               attr.codes[i]];
     }
   }
-  num_sums_.resize(num_num);
+  moments_.num_sums.resize(num_num);
   for (size_t a = 0; a < num_num; ++a) {
     const auto& attr = sensitive_->numeric[a];
-    num_sums_[a].assign(static_cast<size_t>(k_), 0.0);
+    std::vector<double>& sums = moments_.num_sums[a];
+    sums.assign(static_cast<size_t>(k_), 0.0);
     for (size_t i = 0; i < n_; ++i) {
-      num_sums_[a][static_cast<size_t>(assignment_[i])] += attr.values[i];
+      sums[static_cast<size_t>(assignment_[i])] += attr.values[i];
     }
   }
-  cat_u2_.resize(num_cat);
-  cat_uq_.resize(num_cat);
-  cat_q2_.assign(num_cat, 0.0);
+  moments_.cat_u2.resize(num_cat);
+  moments_.cat_uq.resize(num_cat);
+  moments_.cat_q2.assign(num_cat, 0.0);
   for (size_t a = 0; a < num_cat; ++a) {
     const auto& attr = sensitive_->categorical[a];
-    cat_u2_[a].assign(static_cast<size_t>(k_), 0.0);
-    cat_uq_[a].assign(static_cast<size_t>(k_), 0.0);
+    moments_.cat_u2[a].assign(static_cast<size_t>(k_), 0.0);
+    moments_.cat_uq[a].assign(static_cast<size_t>(k_), 0.0);
     double q2 = 0.0;
     for (int s = 0; s < attr.cardinality; ++s) {
       q2 += attr.dataset_fractions[s] * attr.dataset_fractions[s];
     }
-    cat_q2_[a] = q2;
+    moments_.cat_q2[a] = q2;
     for (int c = 0; c < k_; ++c) RecomputeCatMoments(a, c);
   }
   proto_counts_ = counts_;
@@ -183,6 +185,17 @@ Status FairKMState::AdmitAppended(int to) {
         "AdmitAppended expects the sensitive view to hold the appended row");
   }
   const size_t i = n_;
+  // Every code is checked before the first write, so a rejected admit
+  // leaves the state exactly as it was.
+  for (const auto& attr : sensitive_->categorical) {
+    const int32_t v = attr.codes[i];
+    if (v < 0 || v >= attr.cardinality) {
+      return Status::InvalidArgument("admitted row carries code " +
+                                     std::to_string(v) +
+                                     " outside attribute \"" + attr.name +
+                                     "\" cardinality");
+    }
+  }
   const double* row = store_->Row(i);
   const double norm = kernels::Dot(row, row, stride_);
   point_norms_.push_back(norm);
@@ -195,17 +208,10 @@ Status FairKMState::AdmitAppended(int to) {
   sum_norms_[ti] = kernels::Dot(acc, acc, stride_);
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
-    const int32_t v = attr.codes[i];
-    if (v < 0 || v >= attr.cardinality) {
-      return Status::InvalidArgument("admitted row carries code " +
-                                     std::to_string(v) +
-                                     " outside attribute \"" + attr.name +
-                                     "\" cardinality");
-    }
-    ++cat_counts_[a][ti * attr.cardinality + v];
+    ++moments_.cat_counts[a][ti * attr.cardinality + attr.codes[i]];
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
-    num_sums_[a][ti] += sensitive_->numeric[a].values[i];
+    moments_.num_sums[a][ti] += sensitive_->numeric[a].values[i];
   }
   n_ = store_->rows();
   return Status::OK();
@@ -236,10 +242,10 @@ Status FairKMState::RetireSwapped(size_t r) {
   --counts_[ci];
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
-    --cat_counts_[a][ci * attr.cardinality + attr.codes[r]];
+    --moments_.cat_counts[a][ci * attr.cardinality + attr.codes[r]];
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
-    num_sums_[a][ci] -= sensitive_->numeric[a].values[r];
+    moments_.num_sums[a][ci] -= sensitive_->numeric[a].values[r];
   }
   total_point_norm_ -= point_norms_[r];
   const size_t last = n_ - 1;
@@ -258,7 +264,7 @@ void FairKMState::RefreshDatasetStats() {
     for (int s = 0; s < attr.cardinality; ++s) {
       q2 += attr.dataset_fractions[s] * attr.dataset_fractions[s];
     }
-    cat_q2_[a] = q2;
+    moments_.cat_q2[a] = q2;
     for (int c = 0; c < k_; ++c) RecomputeCatMoments(a, c);
   }
   if (track_bounds_) EnableBoundTracking(true);
@@ -287,12 +293,13 @@ Status FairKMState::RebuildFromStore(cluster::Assignment initial) {
 void FairKMState::RecomputeCatMoments(size_t a, int c) {
   const auto& attr = sensitive_->categorical[a];
   const int m = attr.cardinality;
-  const int64_t* counts = cat_counts_[a].data() + static_cast<size_t>(c) * m;
+  const int64_t* counts =
+      moments_.cat_counts[a].data() + static_cast<size_t>(c) * m;
   const double size = static_cast<double>(counts_[static_cast<size_t>(c)]);
   kernels::CatMoments(counts, attr.dataset_fractions.data(),
                       static_cast<size_t>(m), size,
-                      &cat_u2_[a][static_cast<size_t>(c)],
-                      &cat_uq_[a][static_cast<size_t>(c)]);
+                      &moments_.cat_u2[a][static_cast<size_t>(c)],
+                      &moments_.cat_uq[a][static_cast<size_t>(c)]);
 }
 
 void FairKMState::RecomputeFairBounds(int c) {
@@ -311,11 +318,11 @@ void FairKMState::RecomputeFairBounds(int c) {
                            ? 1.0 / static_cast<double>(attr.cardinality)
                            : 1.0);
     double rem_min = 0.0, ins_min = 0.0;
-    kernels::CatDeltaBounds(cat_counts_[a].data() + ci * m,
+    kernels::CatDeltaBounds(moments_.cat_counts[a].data() + ci * m,
                             attr.dataset_fractions.data(), m,
-                            static_cast<double>(cnt), cat_u2_[a][ci],
-                            cat_uq_[a][ci], cat_q2_[a], scale_before,
-                            scale_rem_after, scale_ins_after,
+                            static_cast<double>(cnt), moments_.cat_u2[a][ci],
+                            moments_.cat_uq[a][ci], moments_.cat_q2[a],
+                            scale_before, scale_rem_after, scale_ins_after,
                             delta_scratch_rem_.data(),
                             delta_scratch_ins_.data(), &rem_min, &ins_min);
     double* rem_row = cat_rem_delta_[a].data() + ci * m;
@@ -331,7 +338,8 @@ void FairKMState::RecomputeFairBounds(int c) {
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     const auto& attr = sensitive_->numeric[a];
-    const double u = num_sums_[a][ci] - static_cast<double>(cnt) * attr.dataset_mean;
+    const double u = moments_.num_sums[a][ci] -
+                     static_cast<double>(cnt) * attr.dataset_mean;
     // scale_after * u_after^2 - scale_before * u^2 >= -scale_before * u^2
     // for any moved value (the after-term is a non-negative scale times a
     // square).
@@ -358,7 +366,8 @@ double FairKMState::FairRemovalDelta(size_t i) const {
     const auto& attr = sensitive_->numeric[a];
     const double x = attr.values[i];
     const double mean = attr.dataset_mean;
-    const double u = num_sums_[a][fi] - static_cast<double>(c_from) * mean;
+    const double u =
+        moments_.num_sums[a][fi] - static_cast<double>(c_from) * mean;
     const double u_after = u - x + mean;
     total += attr.weight *
              (ClusterScale(config_.weighting, c_from - 1, n_) * u_after * u_after -
@@ -381,7 +390,8 @@ double FairKMState::FairInsertionDelta(size_t i, int c) const {
     const auto& attr = sensitive_->numeric[a];
     const double x = attr.values[i];
     const double mean = attr.dataset_mean;
-    const double u = num_sums_[a][ci] - static_cast<double>(c_to) * mean;
+    const double u =
+        moments_.num_sums[a][ci] - static_cast<double>(c_to) * mean;
     const double u_after = u + x - mean;
     total += attr.weight *
              (ClusterScale(config_.weighting, c_to + 1, n_) * u_after * u_after -
@@ -631,25 +641,26 @@ double FairKMState::DeltaFairness(size_t i, int to) const {
     const int m = attr.cardinality;
     const int32_t v = attr.codes[i];
     const double q_v = attr.dataset_fractions[v];
-    const double q2 = cat_q2_[a];
+    const double q2 = moments_.cat_q2[a];
     const double norm =
         config_.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
 
     // Origin cluster: removal sends u_s -> u_s + q_s - [s=v], so the new
     // moment is U2 + Q2 + 1 + 2 (UQ - u_v - q_v); u_v touches one count.
-    const double u2_from = cat_u2_[a][static_cast<size_t>(from)];
-    const double uq_from = cat_uq_[a][static_cast<size_t>(from)];
+    const double u2_from = moments_.cat_u2[a][static_cast<size_t>(from)];
+    const double uq_from = moments_.cat_uq[a][static_cast<size_t>(from)];
     const double u_v_from =
         static_cast<double>(
-            cat_counts_[a][static_cast<size_t>(from) * m + v]) -
+            moments_.cat_counts[a][static_cast<size_t>(from) * m + v]) -
         static_cast<double>(c_from) * q_v;
     const double after_from = u2_from + q2 + 1.0 + 2.0 * (uq_from - u_v_from - q_v);
 
     // Target cluster: insertion sends u_s -> u_s - q_s + [s=v].
-    const double u2_to = cat_u2_[a][static_cast<size_t>(to)];
-    const double uq_to = cat_uq_[a][static_cast<size_t>(to)];
+    const double u2_to = moments_.cat_u2[a][static_cast<size_t>(to)];
+    const double uq_to = moments_.cat_uq[a][static_cast<size_t>(to)];
     const double u_v_to =
-        static_cast<double>(cat_counts_[a][static_cast<size_t>(to) * m + v]) -
+        static_cast<double>(
+            moments_.cat_counts[a][static_cast<size_t>(to) * m + v]) -
         static_cast<double>(c_to) * q_v;
     const double after_to = u2_to + q2 + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
 
@@ -662,8 +673,8 @@ double FairKMState::DeltaFairness(size_t i, int to) const {
     const auto& attr = sensitive_->numeric[a];
     const double x = attr.values[i];
     const double mean = attr.dataset_mean;
-    const double t_from = num_sums_[a][static_cast<size_t>(from)];
-    const double t_to = num_sums_[a][static_cast<size_t>(to)];
+    const double t_from = moments_.num_sums[a][static_cast<size_t>(from)];
+    const double t_to = moments_.num_sums[a][static_cast<size_t>(to)];
     // u = T_C - c * mean; removal: u' = u - x + mean; insertion: u' = u + x - mean.
     const double u_from = t_from - static_cast<double>(c_from) * mean;
     const double u_from_after = u_from - x + mean;
@@ -678,54 +689,35 @@ double FairKMState::DeltaFairness(size_t i, int to) const {
   return delta;
 }
 
-double FairKMState::DeltaFairnessInsertion(const int32_t* cat_codes,
-                                           const double* num_values,
-                                           int to) const {
-  if (sensitive_->empty()) return 0.0;
-  const size_t c_to = counts_[static_cast<size_t>(to)];
-  const double scale_to_before = ClusterScale(config_.weighting, c_to, n_);
-  const double scale_to_after = ClusterScale(config_.weighting, c_to + 1, n_);
-
-  double delta = 0.0;
-  for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
-    const auto& attr = sensitive_->categorical[a];
-    const int m = attr.cardinality;
-    const int32_t v = cat_codes[a];
-    FAIRKM_DCHECK(v >= 0 && v < m);
-    const double q_v = attr.dataset_fractions[v];
-    const double q2 = cat_q2_[a];
-    const double norm =
-        config_.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
-    // Insertion sends u_s -> u_s - q_s + [s=v] (same closed form as the
-    // target-cluster half of DeltaFairness).
-    const double u2_to = cat_u2_[a][static_cast<size_t>(to)];
-    const double uq_to = cat_uq_[a][static_cast<size_t>(to)];
-    const double u_v_to =
-        static_cast<double>(cat_counts_[a][static_cast<size_t>(to) * m + v]) -
-        static_cast<double>(c_to) * q_v;
-    const double after_to = u2_to + q2 + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
-    delta += attr.weight * norm *
-             (scale_to_after * after_to - scale_to_before * u2_to);
+int FairKMState::BestInsertion(const double* x, const int32_t* codes,
+                               const double* values, double lambda) const {
+  const bool fair = codes != nullptr || values != nullptr;
+  double best = 0.0;
+  int best_cluster = -1;
+  for (int c = 0; c < k_; ++c) {
+    const size_t cnt = counts_[static_cast<size_t>(c)];
+    if (cnt == 0) continue;
+    const double inv = 1.0 / static_cast<double>(cnt);
+    const double* s = sums_.data() + static_cast<size_t>(c) * stride_;
+    double dist = 0.0;
+    for (size_t j = 0; j < d_; ++j) {
+      const double diff = x[j] - s[j] * inv;
+      dist += diff * diff;
+    }
+    double cost =
+        static_cast<double>(cnt) / static_cast<double>(cnt + 1) * dist;
+    if (fair) {
+      cost += lambda * FairnessInsertionDelta(sensitive_->categorical,
+                                              sensitive_->numeric, moments_,
+                                              cnt, n_, config_, codes, values,
+                                              c);
+    }
+    if (best_cluster < 0 || cost < best) {
+      best = cost;
+      best_cluster = c;
+    }
   }
-  for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
-    const auto& attr = sensitive_->numeric[a];
-    const double x = num_values[a];
-    const double mean = attr.dataset_mean;
-    const double u =
-        num_sums_[a][static_cast<size_t>(to)] - static_cast<double>(c_to) * mean;
-    const double u_after = u + x - mean;
-    delta += attr.weight *
-             (scale_to_after * u_after * u_after - scale_to_before * u * u);
-  }
-  return delta;
-}
-
-void FairKMState::ExportFairnessMoments(FairnessMomentTables* out) const {
-  out->cat_counts = cat_counts_;
-  out->cat_u2 = cat_u2_;
-  out->cat_uq = cat_uq_;
-  out->cat_q2 = cat_q2_;
-  out->num_sums = num_sums_;
+  return best_cluster;
 }
 
 void FairKMState::SaveCheckpoint(Checkpoint* out) const {
@@ -733,10 +725,10 @@ void FairKMState::SaveCheckpoint(Checkpoint* out) const {
   out->counts = counts_;
   out->sums = sums_;
   out->sum_norms = sum_norms_;
-  out->cat_counts = cat_counts_;
-  out->num_sums = num_sums_;
-  out->cat_u2 = cat_u2_;
-  out->cat_uq = cat_uq_;
+  out->cat_counts = moments_.cat_counts;
+  out->num_sums = moments_.num_sums;
+  out->cat_u2 = moments_.cat_u2;
+  out->cat_uq = moments_.cat_uq;
   out->use_snapshot = use_snapshot_;
   out->proto_counts = proto_counts_;
   out->proto_sums = proto_sums_;
@@ -773,10 +765,10 @@ Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
   counts_ = cp.counts;
   sums_ = cp.sums;
   sum_norms_ = cp.sum_norms;
-  cat_counts_ = cp.cat_counts;
-  num_sums_ = cp.num_sums;
-  cat_u2_ = cp.cat_u2;
-  cat_uq_ = cp.cat_uq;
+  moments_.cat_counts = cp.cat_counts;
+  moments_.num_sums = cp.num_sums;
+  moments_.cat_u2 = cp.cat_u2;
+  moments_.cat_uq = cp.cat_uq;
   proto_counts_ = cp.proto_counts;
   proto_sums_ = cp.proto_sums;
   proto_sum_norms_ = cp.proto_sum_norms;
@@ -809,8 +801,9 @@ double FairKMState::ReferenceDeltaFairness(size_t i, int to) const {
     const int m = attr.cardinality;
     const int32_t v = attr.codes[i];
     const int64_t* from_counts =
-        cat_counts_[a].data() + static_cast<size_t>(from) * m;
-    const int64_t* to_counts = cat_counts_[a].data() + static_cast<size_t>(to) * m;
+        moments_.cat_counts[a].data() + static_cast<size_t>(from) * m;
+    const int64_t* to_counts =
+        moments_.cat_counts[a].data() + static_cast<size_t>(to) * m;
     const double norm =
         config_.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
 
@@ -850,8 +843,8 @@ double FairKMState::ReferenceDeltaFairness(size_t i, int to) const {
     const auto& attr = sensitive_->numeric[a];
     const double x = attr.values[i];
     const double mean = attr.dataset_mean;
-    const double t_from = num_sums_[a][static_cast<size_t>(from)];
-    const double t_to = num_sums_[a][static_cast<size_t>(to)];
+    const double t_from = moments_.num_sums[a][static_cast<size_t>(from)];
+    const double t_to = moments_.num_sums[a][static_cast<size_t>(to)];
     const double u_from = t_from - static_cast<double>(c_from) * mean;
     const double u_from_after = u_from - x + mean;
     const double u_to = t_to - static_cast<double>(c_to) * mean;
@@ -916,15 +909,15 @@ void FairKMState::Move(size_t i, int to) {
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
     const int32_t v = attr.codes[i];
-    --cat_counts_[a][static_cast<size_t>(from) * attr.cardinality + v];
-    ++cat_counts_[a][static_cast<size_t>(to) * attr.cardinality + v];
+    --moments_.cat_counts[a][static_cast<size_t>(from) * attr.cardinality + v];
+    ++moments_.cat_counts[a][static_cast<size_t>(to) * attr.cardinality + v];
     RecomputeCatMoments(a, from);
     RecomputeCatMoments(a, to);
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     const double x = sensitive_->numeric[a].values[i];
-    num_sums_[a][static_cast<size_t>(from)] -= x;
-    num_sums_[a][static_cast<size_t>(to)] += x;
+    moments_.num_sums[a][static_cast<size_t>(from)] -= x;
+    moments_.num_sums[a][static_cast<size_t>(to)] += x;
   }
   assignment_[i] = static_cast<int32_t>(to);
 
@@ -990,7 +983,8 @@ double FairKMState::FairnessTermCached() const {
       const double scale =
           ClusterScale(config_.weighting, counts_[static_cast<size_t>(c)], n_);
       if (scale == 0.0) continue;
-      total += attr.weight * norm * scale * cat_u2_[a][static_cast<size_t>(c)];
+      total += attr.weight * norm * scale *
+               moments_.cat_u2[a][static_cast<size_t>(c)];
     }
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
@@ -999,7 +993,7 @@ double FairKMState::FairnessTermCached() const {
       const size_t cnt = counts_[static_cast<size_t>(c)];
       const double scale = ClusterScale(config_.weighting, cnt, n_);
       if (scale == 0.0) continue;
-      const double u = num_sums_[a][static_cast<size_t>(c)] -
+      const double u = moments_.num_sums[a][static_cast<size_t>(c)] -
                        static_cast<double>(cnt) * attr.dataset_mean;
       total += attr.weight * scale * u * u;
     }

@@ -153,9 +153,10 @@ class FairKMState {
   /// the new row is assigned to cluster `to`. Updates assignment, counts,
   /// feature sums, norm caches and per-attribute count/sum tables
   /// incrementally in O(d + |S|). Dataset-statistic-dependent values (the
-  /// view's fractions/means, cat_q2_, every U2/UQ moment, all bounds) go
-  /// stale — the caller MUST call RefreshDatasetStats() after its admit
-  /// batch, before any delta/objective query.
+  /// view's fractions/means, the Q2 constants, every U2/UQ moment, all
+  /// bounds) go stale — the caller MUST call RefreshDatasetStats() after its
+  /// admit batch, before any delta/objective query. A code outside its
+  /// attribute's cardinality is rejected before any aggregate changes.
   Status AdmitAppended(int to);
 
   /// \brief Removes row r's contributions and mirrors the swap-with-last
@@ -167,10 +168,11 @@ class FairKMState {
 
   /// \brief Recomputes everything that depends on the dataset-level
   /// statistics after the caller updated the sensitive view's
-  /// dataset_fractions / dataset_mean for a changed membership: cat_q2_,
-  /// every (attribute, cluster) U2/UQ moment, and — when bound tracking is
-  /// on — every bound table (fresh, zero drift; per-point pruner bounds
-  /// must be invalidated by the caller, see FairKMSolver::SyncStoreGrowth).
+  /// dataset_fractions / dataset_mean for a changed membership: the Q2
+  /// constants, every (attribute, cluster) U2/UQ moment, and — when bound
+  /// tracking is on — every bound table (fresh, zero drift; per-point pruner
+  /// bounds must be invalidated by the caller, see
+  /// FairKMSolver::SyncStoreGrowth).
   /// O(k sum_S m_S).
   void RefreshDatasetStats();
 
@@ -207,15 +209,19 @@ class FairKMState {
   /// in O(1) per sensitive attribute (see the header comment derivation).
   double DeltaFairness(size_t i, int to) const;
 
-  /// \brief Fairness-term change of inserting an OUT-OF-SAMPLE point with
-  /// the given sensitive values into cluster `to` (the serving-path half of
-  /// DeltaFairness: no removal, the dataset size n and the dataset-level
-  /// fractions stay those of the training data — the trained model is not
-  /// mutated). `cat_codes` must hold one code per categorical attribute of
-  /// the training view (in view order), `num_values` one value per numeric
-  /// attribute; either may be null when the view has none.
-  double DeltaFairnessInsertion(const int32_t* cat_codes,
-                                const double* num_values, int to) const;
+  /// \brief The live out-of-sample scorer: the non-empty cluster minimizing
+  /// the Eq. 1 insertion cost of point `x` (d() features),
+  ///   |C|/(|C|+1) d(x, mu_C)^2 + lambda * FairnessInsertionDelta,
+  /// with the distance taken as sum_j (x_j - S_C,j (1/|C|))^2 against the
+  /// live sums, and the fairness half priced from the live moment tables
+  /// (core/objective.h). `codes` (one per categorical attribute) and
+  /// `values` (one per numeric attribute) are the point's sensitive values;
+  /// both null means a K-Means-only cost. Strict < keeps ties on the smallest
+  /// cluster id. Returns -1 when every cluster is empty. Read-only: solver
+  /// Assign scores the trained state with it, online Admit the aggregates
+  /// as each earlier admitted row left them.
+  int BestInsertion(const double* x, const int32_t* codes,
+                    const double* values, double lambda) const;
 
   /// \brief Pre-expansion O(d) two-distance K-Means delta (oracle/bench).
   double ReferenceDeltaKMeans(size_t i, int to) const;
@@ -326,21 +332,13 @@ class FairKMState {
 
   // --- Model export (the serving tier's frozen-snapshot path, src/serve/).
 
-  /// \brief Copy-out of the fairness moment tables a frozen model snapshot
-  /// needs to price DeltaFairnessInsertion without touching the live state:
-  /// the exact integer value counts, the maintained U2/UQ moments, the
-  /// assignment-independent Q2 constants and the numeric value sums. The
-  /// copied doubles are the exact values the live insertion delta reads, so
-  /// a snapshot evaluated with the same arithmetic reproduces it
-  /// bit-for-bit.
-  struct FairnessMomentTables {
-    std::vector<std::vector<int64_t>> cat_counts;  ///< [a][c * m_a + s]
-    std::vector<std::vector<double>> cat_u2;       ///< [a][c]
-    std::vector<std::vector<double>> cat_uq;       ///< [a][c]
-    std::vector<double> cat_q2;                    ///< [a]
-    std::vector<std::vector<double>> num_sums;     ///< [a][c]
-  };
-  void ExportFairnessMoments(FairnessMomentTables* out) const;
+  /// \brief Copy-out of the live fairness moment tables (core/objective.h)
+  /// for a frozen model snapshot: the exact doubles BestInsertion prices
+  /// with, so serve::AssignRows evaluating FairnessInsertionDelta over the
+  /// copy reproduces the live insertion delta bit-for-bit.
+  void ExportFairnessMoments(FairnessMomentTables* out) const {
+    *out = moments_;
+  }
 
   /// \brief Padded row width of the k x stride cluster-sum matrix.
   size_t stride() const { return stride_; }
@@ -356,7 +354,7 @@ class FairKMState {
 
   void BuildAggregates(cluster::Assignment initial);
 
-  // Recomputes cat_u2_/cat_uq_ for one (attribute, cluster) pair from the
+  // Recomputes the U2/UQ moments for one (attribute, cluster) pair from the
   // exact integer counts. O(m_a).
   void RecomputeCatMoments(size_t a, int c);
 
@@ -396,22 +394,15 @@ class FairKMState {
   cluster::Assignment assignment_;
   std::vector<size_t> counts_;        // Cluster sizes.
   data::AlignedVector sums_;          // k x stride feature sums (row-major).
-  // cat_counts_[a][c * m_a + s] = |C_s| for attribute a.
-  std::vector<std::vector<int64_t>> cat_counts_;
-  // num_sums_[a][c] = sum of attribute a over cluster c.
-  std::vector<std::vector<double>> num_sums_;
+  // Per-attribute count/sum tables and the U2/UQ/Q2 fairness moments;
+  // U2/UQ are recomputed for the two touched clusters on Move.
+  FairnessMomentTables moments_;
 
   // K-Means delta caches: ||x_i||^2 (immutable) and ||S_c||^2 (recomputed
   // for the two touched clusters on Move).
   std::vector<double> point_norms_;
   std::vector<double> sum_norms_;
   double total_point_norm_ = 0.0;  // sum_i ||x_i||^2 (immutable).
-
-  // Fairness moments: cat_u2_[a][c] = sum_s u_s^2, cat_uq_[a][c] =
-  // sum_s u_s q_s, cat_q2_[a] = sum_s q_s^2 (assignment-independent).
-  std::vector<std::vector<double>> cat_u2_;
-  std::vector<std::vector<double>> cat_uq_;
-  std::vector<double> cat_q2_;
 
   bool use_snapshot_ = false;
   std::vector<size_t> proto_counts_;

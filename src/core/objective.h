@@ -12,6 +12,9 @@
 #ifndef FAIRKM_CORE_OBJECTIVE_H_
 #define FAIRKM_CORE_OBJECTIVE_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "cluster/types.h"
 #include "common/status.h"
 #include "data/matrix.h"
@@ -64,6 +67,71 @@ ObjectiveValue ComputeObjective(const data::Matrix& points,
 /// u_s = |C_s| - |C| * Fr_X(s); see fairkm_state.cc for the derivation.
 /// Returns 0 for empty clusters.
 double ClusterScale(ClusterWeighting weighting, size_t cluster_size, size_t num_rows);
+
+/// \brief The fairness aggregates the incremental deltas read: exact integer
+/// value counts, the U2 = sum_s u_s^2 and UQ = sum_s u_s q_s moments
+/// (u_s = |C_s| - |C| Fr_X(s), q_s = Fr_X(s)), the assignment-independent
+/// Q2 = sum_s q_s^2 constants, and the numeric value sums. FairKMState
+/// maintains one live copy; core::ModelExport freezes one for serving.
+struct FairnessMomentTables {
+  std::vector<std::vector<int64_t>> cat_counts;  ///< [a][c * m_a + s]
+  std::vector<std::vector<double>> cat_u2;       ///< [a][c]
+  std::vector<std::vector<double>> cat_uq;       ///< [a][c]
+  std::vector<double> cat_q2;                    ///< [a]
+  std::vector<std::vector<double>> num_sums;     ///< [a][c]
+};
+
+/// \brief Fairness-term change of inserting one out-of-sample point into
+/// cluster `to` (of size `cluster_size`, training-set size `n`): the
+/// target-cluster half of the Eq. 16-19 move delta, in O(1) per attribute.
+/// Insertion sends u_s -> u_s - q_s + [s=v], so the new moment is
+///   U2 + Q2 + 1 - 2 (UQ - u_v + q_v)
+/// (derivation in core/fairkm_state.h). The attribute structure supplies
+/// cardinalities, weights and the dataset-level fractions/means that price
+/// the delta; their per-row vectors are not read. `codes` holds one code per
+/// categorical attribute, `values` one value per numeric attribute; either
+/// may be null when there are none. Nothing is mutated: the model stays the
+/// distribution reference. Every insertion scorer (FairKMState::
+/// BestInsertion, serve::AssignRows) prices through this one function, so
+/// equal tables give bit-identical costs.
+inline double FairnessInsertionDelta(
+    const std::vector<data::CategoricalSensitive>& categorical,
+    const std::vector<data::NumericSensitive>& numeric,
+    const FairnessMomentTables& tables, size_t cluster_size, size_t n,
+    const FairnessTermConfig& config, const int32_t* codes,
+    const double* values, int to) {
+  if (categorical.empty() && numeric.empty()) return 0.0;
+  const size_t ti = static_cast<size_t>(to);
+  const double scale_before = ClusterScale(config.weighting, cluster_size, n);
+  const double scale_after =
+      ClusterScale(config.weighting, cluster_size + 1, n);
+  double delta = 0.0;
+  for (size_t a = 0; a < categorical.size(); ++a) {
+    const data::CategoricalSensitive& attr = categorical[a];
+    const int m = attr.cardinality;
+    const int32_t v = codes[a];
+    const double q_v = attr.dataset_fractions[static_cast<size_t>(v)];
+    const double norm =
+        config.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
+    const double u2 = tables.cat_u2[a][ti];
+    const double uq = tables.cat_uq[a][ti];
+    const double u_v =
+        static_cast<double>(tables.cat_counts[a][ti * m + v]) -
+        static_cast<double>(cluster_size) * q_v;
+    const double after = u2 + tables.cat_q2[a] + 1.0 - 2.0 * (uq - u_v + q_v);
+    delta += attr.weight * norm * (scale_after * after - scale_before * u2);
+  }
+  for (size_t a = 0; a < numeric.size(); ++a) {
+    const data::NumericSensitive& attr = numeric[a];
+    const double mean = attr.dataset_mean;
+    const double u = tables.num_sums[a][ti] -
+                     static_cast<double>(cluster_size) * mean;
+    const double u_after = u + values[a] - mean;
+    delta += attr.weight *
+             (scale_after * u_after * u_after - scale_before * u * u);
+  }
+  return delta;
+}
 
 }  // namespace core
 }  // namespace fairkm

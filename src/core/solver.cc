@@ -1,7 +1,6 @@
 #include "core/solver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "cluster/kmeans.h"
@@ -537,8 +536,8 @@ Result<ModelExport> FairKMSolver::ExportModel() const {
   for (size_t c = 0; c < k; ++c) {
     m.counts[c] = state_->cluster_size(static_cast<int>(c));
     if (m.counts[c] == 0) continue;
-    // Same sums[j] * (1/|C|) expression as FairKMState::Centroids(), so the
-    // exported centroid doubles are bit-identical to the ones the scalar
+    // Same sums[j] * (1/|C|) expression as FairKMState::BestInsertion, so
+    // the exported centroid doubles are bit-identical to the ones the scalar
     // Assign oracle scores against. The zero padding of the sums rows keeps
     // the padded centroid entries exact zeros.
     const double inv = 1.0 / static_cast<double>(m.counts[c]);
@@ -550,12 +549,12 @@ Result<ModelExport> FairKMSolver::ExportModel() const {
   state_->ExportFairnessMoments(&m.moments);
   m.categorical.reserve(sensitive_->categorical.size());
   for (const auto& attr : sensitive_->categorical) {
-    m.categorical.push_back(
-        {attr.name, attr.cardinality, attr.dataset_fractions, attr.weight});
+    m.categorical.push_back({attr.name, attr.cardinality, {},
+                             attr.dataset_fractions, attr.weight});
   }
   m.numeric.reserve(sensitive_->numeric.size());
   for (const auto& attr : sensitive_->numeric) {
-    m.numeric.push_back({attr.name, attr.dataset_mean, attr.weight});
+    m.numeric.push_back({attr.name, {}, attr.dataset_mean, attr.weight});
   }
   return m;
 }
@@ -585,104 +584,31 @@ Result<cluster::Assignment> FairKMSolver::AssignImpl(
   }
   FAIRKM_RETURN_NOT_OK(data::ValidateFinite(new_points, "new points"));
   const size_t rows = new_points.rows();
-  const size_t num_cat = sensitive_->categorical.size();
-  const size_t num_num = sensitive_->numeric.size();
   if (new_sensitive != nullptr) {
-    if (new_sensitive->categorical.size() != num_cat ||
-        new_sensitive->numeric.size() != num_num) {
-      return Status::InvalidArgument(
-          "new sensitive view must mirror the training view's attribute "
-          "structure (same categorical/numeric attributes, same order)");
-    }
-    // Check EVERY attribute's length, not just num_rows() (which reads only
-    // the first attribute): a ragged view would otherwise pass here and the
-    // code-range loop below would read attr.codes[i] out of bounds.
-    for (size_t a = 0; a < num_cat; ++a) {
-      const auto& attr = new_sensitive->categorical[a];
-      if (attr.codes.size() != rows) {
-        return Status::InvalidArgument(
-            "new sensitive attribute \"" + sensitive_->categorical[a].name +
-            "\" covers " + std::to_string(attr.codes.size()) +
-            " rows, points have " + std::to_string(rows));
-      }
-    }
-    for (size_t a = 0; a < num_num; ++a) {
-      const auto& attr = new_sensitive->numeric[a];
-      if (attr.values.size() != rows) {
-        return Status::InvalidArgument(
-            "new sensitive attribute \"" + sensitive_->numeric[a].name +
-            "\" covers " + std::to_string(attr.values.size()) +
-            " rows, points have " + std::to_string(rows));
-      }
-      for (size_t i = 0; i < rows; ++i) {
-        if (!std::isfinite(attr.values[i])) {
-          return Status::InvalidArgument(
-              "new sensitive attribute \"" + sensitive_->numeric[a].name +
-              "\" has a non-finite value at row " + std::to_string(i));
-        }
-      }
-    }
-    for (size_t a = 0; a < num_cat; ++a) {
-      const auto& attr = new_sensitive->categorical[a];
-      const int m = sensitive_->categorical[a].cardinality;
-      for (size_t i = 0; i < rows; ++i) {
-        if (attr.codes[i] < 0 || attr.codes[i] >= m) {
-          return Status::InvalidArgument(
-              "attribute \"" + sensitive_->categorical[a].name + "\" code " +
-              std::to_string(attr.codes[i]) + " at row " + std::to_string(i) +
-              " outside the trained cardinality " + std::to_string(m));
-        }
-      }
-    }
+    FAIRKM_RETURN_NOT_OK(data::ValidateRequestView(
+        sensitive_->categorical, sensitive_->numeric, *new_sensitive, rows));
   }
-
-  // Score each point independently against the frozen trained model: the
-  // Eq. 1 insertion cost |C|/(|C|+1) d(x, mu_C)^2 plus, when sensitive
-  // values are supplied, lambda times the exact fairness insertion delta.
-  // Empty clusters have no prototype to serve and are not candidates.
-  const data::Matrix centroids = state_->Centroids();
-  const size_t d = cols_;
-  const int k = options_.k;
+  // Each point is scored independently against the trained model, which is
+  // not mutated; empty clusters have no prototype to serve.
   cluster::Assignment out(rows, 0);
-  std::vector<int32_t> codes(num_cat, 0);
-  std::vector<double> values(num_num, 0.0);
+  std::vector<int32_t> codes(sensitive_->categorical.size(), 0);
+  std::vector<double> values(sensitive_->numeric.size(), 0.0);
   for (size_t i = 0; i < rows; ++i) {
-    const double* x = new_points.Row(i);
     if (new_sensitive != nullptr) {
-      for (size_t a = 0; a < num_cat; ++a) {
+      for (size_t a = 0; a < codes.size(); ++a) {
         codes[a] = new_sensitive->categorical[a].codes[i];
       }
-      for (size_t a = 0; a < num_num; ++a) {
+      for (size_t a = 0; a < values.size(); ++a) {
         values[a] = new_sensitive->numeric[a].values[i];
       }
     }
-    double best = 0.0;
-    int best_cluster = -1;
-    for (int c = 0; c < k; ++c) {
-      const size_t cnt = state_->cluster_size(c);
-      if (cnt == 0) continue;
-      const double* mu = centroids.Row(static_cast<size_t>(c));
-      double dist = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        const double diff = x[j] - mu[j];
-        dist += diff * diff;
-      }
-      double cost =
-          static_cast<double>(cnt) / static_cast<double>(cnt + 1) * dist;
-      if (new_sensitive != nullptr) {
-        cost += lambda_ * state_->DeltaFairnessInsertion(
-                              codes.data(), values.data(), c);
-      }
-      if (best_cluster < 0 || cost < best) {
-        best = cost;
-        best_cluster = c;
-      }
-    }
-    if (best_cluster < 0) {
+    out[i] = state_->BestInsertion(
+        new_points.Row(i), new_sensitive != nullptr ? codes.data() : nullptr,
+        new_sensitive != nullptr ? values.data() : nullptr, lambda_);
+    if (out[i] < 0) {
       return Status::InvalidArgument(
           "trained model has no non-empty cluster to assign to");
     }
-    out[i] = best_cluster;
   }
   return out;
 }

@@ -26,11 +26,15 @@
 //     uninterrupted one — bit-identical assignments, objective history and
 //     pruning counters — in every mini-batch x kernel backend x pruning
 //     setting.
-//   * Assign(new_points[, new_sensitive]) is the out-of-sample serving
-//     path: each new point goes to the non-empty trained cluster minimizing
-//     its Eq. 1 insertion cost |C|/(|C|+1) d(x, mu_C)^2 (+ lambda times the
-//     fairness insertion delta when sensitive values are supplied). The
-//     trained model is not mutated; points are scored independently.
+//   * Assign(new_points[, new_sensitive]) is the scalar out-of-sample
+//     reference: the request is checked by data::ValidateRequestView and
+//     each new point goes to FairKMState::BestInsertion's cluster — the
+//     non-empty one minimizing the Eq. 1 insertion cost |C|/(|C|+1)
+//     d(x, mu_C)^2 (+ lambda times core::FairnessInsertionDelta when
+//     sensitive values are supplied). Online Admit scores with the same
+//     BestInsertion, and serve::AssignBatch's GEMV path with the same
+//     validator and fairness formula. The trained model is not mutated;
+//     points are scored independently.
 //
 // The solver is move-only. It shares ownership of its PointStore and
 // references the sensitive view, which must outlive it unchanged.
@@ -158,11 +162,14 @@ struct SolverCheckpoint {
 /// the out-of-sample serving path (src/serve/) needs to score Eq. 1
 /// insertion costs without touching the live solver — exact centroids in the
 /// aligned lane-padded kernel layout with their cached squared norms
-/// (expanded-form distance), cluster sizes, the fairness moment tables, and
-/// the training view's attribute structure (names, cardinalities, TRAINING
-/// dataset fractions/means, weights — the trained model is the distribution
-/// reference for out-of-sample deltas). Owns all of its storage; the solver
-/// and its inputs may mutate or die after the export.
+/// (expanded-form distance), cluster sizes, the core::FairnessMomentTables,
+/// and the training view's attribute structure as data::CategoricalSensitive
+/// / data::NumericSensitive entries without per-row data (names,
+/// cardinalities, TRAINING dataset fractions/means, weights — the trained
+/// model is the distribution reference for out-of-sample deltas). The serve
+/// tier hands exactly these to data::ValidateRequestView and
+/// core::FairnessInsertionDelta. Owns all of its storage; the solver and its
+/// inputs may mutate or die after the export.
 struct ModelExport {
   size_t num_rows = 0;  ///< Training-set size n.
   size_t d = 0;         ///< Feature width.
@@ -175,24 +182,13 @@ struct ModelExport {
   /// all-zero rows for empty clusters — GemvAligned streams it directly.
   data::AlignedVector centroids;
   std::vector<double> centroid_norms;  ///< ||mu_c||^2 (0 for empty clusters).
-  FairKMState::FairnessMomentTables moments;
-
-  /// \brief Structure + training-data distribution of one categorical
-  /// sensitive attribute.
-  struct CategoricalAttr {
-    std::string name;
-    int cardinality = 0;
-    std::vector<double> dataset_fractions;  ///< Training Fr_X(s).
-    double weight = 1.0;
-  };
-  /// \brief Structure + training-data mean of one numeric attribute.
-  struct NumericAttr {
-    std::string name;
-    double dataset_mean = 0.0;  ///< Training dataset average.
-    double weight = 1.0;
-  };
-  std::vector<CategoricalAttr> categorical;
-  std::vector<NumericAttr> numeric;
+  FairnessMomentTables moments;
+  /// The training view's attributes with EMPTY per-row vectors (codes /
+  /// values): names, cardinalities, weights and the training dataset
+  /// fractions / means — the attribute structure data::ValidateRequestView
+  /// and FairnessInsertionDelta read.
+  std::vector<data::CategoricalSensitive> categorical;
+  std::vector<data::NumericSensitive> numeric;
 };
 
 /// \brief Reusable FairKM optimization session (see the header comment).
@@ -290,14 +286,17 @@ class FairKMSolver {
 
   // --- Serving path.
   /// \brief Maps out-of-sample points (same feature width) to the trained
-  /// clusters by Eq. 1 K-Means insertion cost. Empty clusters are not
-  /// candidates; ties break toward the smallest cluster id.
+  /// clusters by Eq. 1 K-Means insertion cost (FairKMState::BestInsertion).
+  /// Empty clusters are not candidates; ties break toward the smallest
+  /// cluster id.
   Result<cluster::Assignment> Assign(const data::Matrix& new_points) const;
   /// \brief Same, adding lambda times the fairness insertion delta of each
-  /// point's sensitive values. `new_sensitive` must mirror the training
-  /// view's attribute structure (same order, cardinalities within range);
-  /// the dataset-level fractions/means of the TRAINING data price the
-  /// deltas — the trained model is the distribution reference.
+  /// point's sensitive values. `new_sensitive` must pass
+  /// data::ValidateRequestView against the training view (same attribute
+  /// order, every attribute one entry per point, codes within the trained
+  /// cardinalities, finite values); the dataset-level fractions/means of the
+  /// TRAINING data price the deltas — the trained model is the distribution
+  /// reference.
   Result<cluster::Assignment> Assign(
       const data::Matrix& new_points,
       const data::SensitiveView& new_sensitive) const;

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/backoff.h"
 #include "common/fault_injection.h"
 #include "common/io.h"
 #include "common/timer.h"
@@ -90,15 +91,10 @@ Status SupervisedRunner::BuildSolver() {
 }
 
 void SupervisedRunner::BackoffSleep(int attempt) {
-  // serve::RetryPolicy full-jitter semantics (re-implemented: core cannot
-  // link serve): sleep ~ U[0, min(initial * mult^(attempt-1), max)].
   if (policy_.initial_backoff_seconds <= 0.0) return;
-  double ceiling = policy_.initial_backoff_seconds;
-  for (int i = 1; i < attempt; ++i) {
-    ceiling *= policy_.backoff_multiplier;
-    if (ceiling >= policy_.max_backoff_seconds) break;
-  }
-  ceiling = std::min(ceiling, policy_.max_backoff_seconds);
+  const double ceiling = ExponentialBackoffCeiling(
+      policy_.initial_backoff_seconds, policy_.backoff_multiplier,
+      policy_.max_backoff_seconds, attempt);
   const double sleep_seconds = jitter_rng_.UniformDouble() * ceiling;
   if (sleep_seconds > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double>(sleep_seconds));

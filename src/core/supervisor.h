@@ -20,8 +20,8 @@
 //     quarantining corrupt frames on the way — falling back to the
 //     in-memory last-good snapshot, then to a fresh re-Init(seed). Each
 //     recovery consumes one unit of the `max_rollbacks` budget and sleeps a
-//     full-jitter backoff first (the serve/retry.h policy semantics,
-//     re-implemented here because core cannot link serve).
+//     full-jitter backoff first (common/backoff.h, the schedule
+//     serve::RetryPolicy clients use too).
 //   * Graceful degradation — repeated I/O faults walk a two-rung demotion
 //     ladder: mmap store -> in-memory copy, then pruning on -> off. A
 //     demotion rebuilds the solver with the downgraded configuration and

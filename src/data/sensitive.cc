@@ -13,12 +13,6 @@ Status SensitiveView::Validate(size_t expected_rows) const {
       return Status::InvalidArgument("sensitive attribute '" + attr.name +
                                      "' has no categories");
     }
-    if (attr.codes.size() != expected_rows) {
-      return Status::InvalidArgument(
-          "sensitive attribute '" + attr.name + "' covers " +
-          std::to_string(attr.codes.size()) + " rows, expected " +
-          std::to_string(expected_rows));
-    }
     if (attr.dataset_fractions.size() != static_cast<size_t>(attr.cardinality)) {
       return Status::InvalidArgument(
           "sensitive attribute '" + attr.name + "' has " +
@@ -26,31 +20,61 @@ Status SensitiveView::Validate(size_t expected_rows) const {
           " dataset fractions for cardinality " +
           std::to_string(attr.cardinality));
     }
-    for (size_t i = 0; i < attr.codes.size(); ++i) {
-      if (attr.codes[i] < 0 || attr.codes[i] >= attr.cardinality) {
-        return Status::InvalidArgument(
-            "sensitive attribute '" + attr.name + "' code " +
-            std::to_string(attr.codes[i]) + " at row " + std::to_string(i) +
-            " outside cardinality " + std::to_string(attr.cardinality));
-      }
-    }
   }
   for (const auto& attr : numeric) {
-    if (attr.values.size() != expected_rows) {
-      return Status::InvalidArgument(
-          "sensitive attribute '" + attr.name + "' covers " +
-          std::to_string(attr.values.size()) + " rows, expected " +
-          std::to_string(expected_rows));
-    }
     if (!std::isfinite(attr.dataset_mean)) {
       return Status::InvalidArgument("sensitive attribute '" + attr.name +
                                      "' has a non-finite dataset mean");
     }
-    for (size_t i = 0; i < attr.values.size(); ++i) {
-      if (!std::isfinite(attr.values[i])) {
+  }
+  // The per-row checks are the request check against this view's own
+  // structure.
+  return ValidateRequestView(categorical, numeric, *this, expected_rows);
+}
+
+Status ValidateRequestView(
+    const std::vector<CategoricalSensitive>& trained_categorical,
+    const std::vector<NumericSensitive>& trained_numeric,
+    const SensitiveView& request, size_t rows) {
+  if (request.categorical.size() != trained_categorical.size() ||
+      request.numeric.size() != trained_numeric.size()) {
+    return Status::InvalidArgument(
+        "sensitive view must mirror the trained attribute structure (same "
+        "categorical/numeric attributes, same order)");
+  }
+  for (size_t a = 0; a < trained_categorical.size(); ++a) {
+    const std::vector<int32_t>& codes = request.categorical[a].codes;
+    const std::string& name = trained_categorical[a].name;
+    const int m = trained_categorical[a].cardinality;
+    if (codes.size() != rows) {
+      return Status::InvalidArgument(
+          "sensitive attribute \"" + name + "\" covers " +
+          std::to_string(codes.size()) + " rows, expected " +
+          std::to_string(rows));
+    }
+    for (size_t i = 0; i < rows; ++i) {
+      if (codes[i] < 0 || codes[i] >= m) {
         return Status::InvalidArgument(
-            "sensitive attribute '" + attr.name +
-            "' has a non-finite value at row " + std::to_string(i));
+            "attribute \"" + name + "\" code " + std::to_string(codes[i]) +
+            " at row " + std::to_string(i) +
+            " outside cardinality " + std::to_string(m));
+      }
+    }
+  }
+  for (size_t a = 0; a < trained_numeric.size(); ++a) {
+    const std::vector<double>& values = request.numeric[a].values;
+    const std::string& name = trained_numeric[a].name;
+    if (values.size() != rows) {
+      return Status::InvalidArgument(
+          "sensitive attribute \"" + name + "\" covers " +
+          std::to_string(values.size()) + " rows, expected " +
+          std::to_string(rows));
+    }
+    for (size_t i = 0; i < rows; ++i) {
+      if (!std::isfinite(values[i])) {
+        return Status::InvalidArgument("sensitive attribute \"" + name +
+                                       "\" has a non-finite value at row " +
+                                       std::to_string(i));
       }
     }
   }

@@ -54,14 +54,30 @@ struct SensitiveView {
   /// then indexes out of bounds downstream. This checks EVERY attribute:
   /// each categorical attribute must have `expected_rows` codes, a positive
   /// cardinality, one dataset fraction per value, and every code within
-  /// [0, cardinality); each numeric attribute must have `expected_rows`
-  /// values. An empty view is always valid.
+  /// [0, cardinality); each numeric attribute must have a finite dataset
+  /// mean and `expected_rows` finite values. The per-row half is
+  /// ValidateRequestView against the view's own structure. An empty view is
+  /// always valid.
   Status Validate(size_t expected_rows) const;
 
   /// \brief View restricted to a single categorical attribute (used for the
   /// per-attribute ZGYA(S) / FairKM(S) invocations of the paper's §5.6).
   Result<SensitiveView> SelectCategorical(const std::string& name) const;
 };
+
+/// \brief Validates an out-of-sample request view — one entry per request
+/// point, the input of every insertion path (solver Assign, online Admit,
+/// serve AssignBatch) — against a trained attribute structure: the same
+/// number of categorical and numeric attributes (same order), every
+/// attribute covering `rows` rows (a ragged view is rejected before any
+/// per-row indexing), every code within the TRAINED cardinality, and every
+/// numeric value finite. Only the trained attributes' names and
+/// cardinalities are read; their per-row vectors may be empty. Rejections
+/// are kInvalidArgument.
+Status ValidateRequestView(
+    const std::vector<CategoricalSensitive>& trained_categorical,
+    const std::vector<NumericSensitive>& trained_numeric,
+    const SensitiveView& request, size_t rows);
 
 /// \brief Builds a SensitiveView from named dataset columns. `weights`, when
 /// non-empty, must parallel cat_names followed by num_names.

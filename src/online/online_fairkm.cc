@@ -32,55 +32,6 @@ std::string SolverCheckpointPath(const std::string& dir) {
   return dir + "/online-solver.fkmc";
 }
 
-// Mirrors the per-row structural validation of FairKMSolver::AssignImpl: the
-// admitted batch's sensitive view must mirror the training view's attribute
-// structure, cover every row, and stay inside the trained cardinalities.
-Status ValidateAdmitSensitive(const data::SensitiveView& training,
-                              const data::SensitiveView& incoming,
-                              size_t rows) {
-  if (incoming.categorical.size() != training.categorical.size() ||
-      incoming.numeric.size() != training.numeric.size()) {
-    return Status::InvalidArgument(
-        "admitted sensitive view must mirror the training view's attribute "
-        "structure (same categorical/numeric attributes, same order)");
-  }
-  for (size_t a = 0; a < training.categorical.size(); ++a) {
-    const auto& attr = incoming.categorical[a];
-    const int m = training.categorical[a].cardinality;
-    if (attr.codes.size() != rows) {
-      return Status::InvalidArgument(
-          "admitted sensitive attribute \"" + training.categorical[a].name +
-          "\" covers " + std::to_string(attr.codes.size()) +
-          " rows, points have " + std::to_string(rows));
-    }
-    for (size_t i = 0; i < rows; ++i) {
-      if (attr.codes[i] < 0 || attr.codes[i] >= m) {
-        return Status::InvalidArgument(
-            "attribute \"" + training.categorical[a].name + "\" code " +
-            std::to_string(attr.codes[i]) + " at row " + std::to_string(i) +
-            " outside the trained cardinality " + std::to_string(m));
-      }
-    }
-  }
-  for (size_t a = 0; a < training.numeric.size(); ++a) {
-    const auto& attr = incoming.numeric[a];
-    if (attr.values.size() != rows) {
-      return Status::InvalidArgument(
-          "admitted sensitive attribute \"" + training.numeric[a].name +
-          "\" covers " + std::to_string(attr.values.size()) +
-          " rows, points have " + std::to_string(rows));
-    }
-    for (size_t i = 0; i < rows; ++i) {
-      if (!std::isfinite(attr.values[i])) {
-        return Status::InvalidArgument(
-            "admitted sensitive attribute \"" + training.numeric[a].name +
-            "\" has a non-finite value at row " + std::to_string(i));
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
@@ -156,12 +107,11 @@ Result<std::vector<uint64_t>> OnlineFairKM::Admit(
           "the live model trains on sensitive attributes; Admit needs a "
           "matching sensitive view for the admitted rows");
     }
-    FAIRKM_RETURN_NOT_OK(ValidateAdmitSensitive(view_, *sensitive, rows));
+    FAIRKM_RETURN_NOT_OK(data::ValidateRequestView(
+        view_.categorical, view_.numeric, *sensitive, rows));
   }
 
   const core::FairKMState& st = solver_->state();
-  const double lambda = solver_->lambda();
-  const int k = solver_->k();
   const size_t d = store_->cols();
   std::vector<int32_t> codes(num_cat, 0);
   std::vector<double> values(num_num, 0.0);
@@ -175,35 +125,11 @@ Result<std::vector<uint64_t>> OnlineFairKM::Admit(
     for (size_t a = 0; a < num_num; ++a) {
       values[a] = sensitive->numeric[a].values[i];
     }
-    // Live Eq. 1 insertion cost: |C|/(|C|+1) d(x, mu_C)^2 + lambda *
-    // fairness insertion delta, over the aggregates as already shifted by
-    // the earlier rows of this batch. Empty clusters are not candidates;
-    // ties break toward the smallest cluster id (same as AssignImpl).
-    const data::AlignedVector& sums = st.cluster_sums();
-    const size_t stride = st.stride();
-    double best = 0.0;
-    int best_cluster = -1;
-    for (int c = 0; c < k; ++c) {
-      const size_t cnt = st.cluster_size(c);
-      if (cnt == 0) continue;
-      const double inv = 1.0 / static_cast<double>(cnt);
-      const double* s = sums.data() + static_cast<size_t>(c) * stride;
-      double dist = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        const double diff = x[j] - s[j] * inv;
-        dist += diff * diff;
-      }
-      double cost =
-          static_cast<double>(cnt) / static_cast<double>(cnt + 1) * dist;
-      if (fairness_aware) {
-        cost += lambda *
-                st.DeltaFairnessInsertion(codes.data(), values.data(), c);
-      }
-      if (best_cluster < 0 || cost < best) {
-        best = cost;
-        best_cluster = c;
-      }
-    }
+    // Live scoring: the second row of a batch prices against the
+    // aggregates the first one shifted.
+    const int best_cluster = st.BestInsertion(
+        x, fairness_aware ? codes.data() : nullptr,
+        fairness_aware ? values.data() : nullptr, solver_->lambda());
     if (best_cluster < 0) {
       return Status::InvalidArgument(
           "live model has no non-empty cluster to admit into");

@@ -6,11 +6,13 @@
 // pruner bounds) already updates incrementally per move. This engine turns
 // that into a long-lived service:
 //
-//   * Admit(points, sensitive): each admitted point is placed by its exact
-//     Eq. 1 insertion cost — |C|/(|C|+1) d(x, mu_C)^2 plus lambda times the
-//     fairness insertion delta (FairKMState::DeltaFairnessInsertion) —
-//     scored LIVE, so the second point of a batch prices against the
-//     aggregates the first one shifted. The point lands in a growable `mem`
+//   * Admit(points, sensitive): the batch passes data::ValidateRequestView
+//     (the check solver Assign and the serve tier run), then each admitted
+//     point is placed by FairKMState::BestInsertion — its exact Eq. 1
+//     insertion cost |C|/(|C|+1) d(x, mu_C)^2 plus lambda times
+//     core::FairnessInsertionDelta, the scorer solver Assign uses — scored
+//     LIVE, so the second point of a batch prices against the aggregates the
+//     first one shifted. The point lands in a growable `mem`
 //     PointStore (a read-only mmap store refuses with an actionable
 //     kInvalidArgument), the state adopts it via AdmitAppended, and the
 //     caller gets back a stable uint64 id.
@@ -134,11 +136,12 @@ class OnlineFairKM {
   OnlineFairKM& operator=(const OnlineFairKM&) = delete;
 
   /// \brief Admits a batch: each row is scored by its live Eq. 1 insertion
-  /// cost and appended to the store/state. When the training view carries
-  /// sensitive attributes, `sensitive` must mirror its structure and cover
-  /// every admitted row (same contract as FairKMSolver::Assign); with an
-  /// attribute-free view it may be null. Returns the stable ids, in row
-  /// order. The whole batch is validated before the first row is admitted.
+  /// cost (FairKMState::BestInsertion) and appended to the store/state. When
+  /// the training view carries sensitive attributes, `sensitive` must pass
+  /// data::ValidateRequestView against it (the FairKMSolver::Assign
+  /// contract); with an attribute-free view it may be null. Returns the
+  /// stable ids, in row order. The whole batch is validated before the first
+  /// row is admitted.
   Result<std::vector<uint64_t>> Admit(
       const data::Matrix& points,
       const data::SensitiveView* sensitive = nullptr);

@@ -1,7 +1,6 @@
 #include "serve/assign_batch.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -18,53 +17,6 @@ namespace {
 // row copies streaming-friendly.
 constexpr size_t kBlockRows = 256;
 
-// Fairness-term change of inserting one out-of-sample point with the given
-// sensitive values into cluster `to`, priced entirely from the snapshot's
-// frozen moment tables. Term-for-term the same arithmetic as
-// FairKMState::DeltaFairnessInsertion, so for equal table values the result
-// is bit-identical to what the scalar Assign path adds.
-double InsertionFairnessDelta(const core::ModelExport& m,
-                              const int32_t* cat_codes,
-                              const double* num_values, int to) {
-  if (m.categorical.empty() && m.numeric.empty()) return 0.0;
-  const size_t c_to = m.counts[static_cast<size_t>(to)];
-  const double scale_to_before =
-      core::ClusterScale(m.config.weighting, c_to, m.num_rows);
-  const double scale_to_after =
-      core::ClusterScale(m.config.weighting, c_to + 1, m.num_rows);
-
-  double delta = 0.0;
-  for (size_t a = 0; a < m.categorical.size(); ++a) {
-    const auto& attr = m.categorical[a];
-    const int card = attr.cardinality;
-    const int32_t v = cat_codes[a];
-    const double q_v = attr.dataset_fractions[static_cast<size_t>(v)];
-    const double q2 = m.moments.cat_q2[a];
-    const double norm =
-        m.config.normalize_domain ? 1.0 / static_cast<double>(card) : 1.0;
-    const double u2_to = m.moments.cat_u2[a][static_cast<size_t>(to)];
-    const double uq_to = m.moments.cat_uq[a][static_cast<size_t>(to)];
-    const double u_v_to =
-        static_cast<double>(
-            m.moments.cat_counts[a][static_cast<size_t>(to) * card + v]) -
-        static_cast<double>(c_to) * q_v;
-    const double after_to = u2_to + q2 + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
-    delta += attr.weight * norm *
-             (scale_to_after * after_to - scale_to_before * u2_to);
-  }
-  for (size_t a = 0; a < m.numeric.size(); ++a) {
-    const auto& attr = m.numeric[a];
-    const double x = num_values[a];
-    const double mean = attr.dataset_mean;
-    const double u = m.moments.num_sums[a][static_cast<size_t>(to)] -
-                     static_cast<double>(c_to) * mean;
-    const double u_after = u + x - mean;
-    delta += attr.weight *
-             (scale_to_after * u_after * u_after - scale_to_before * u * u);
-  }
-  return delta;
-}
-
 }  // namespace
 
 Status ValidateAssignInputs(const ModelSnapshot& snapshot,
@@ -78,50 +30,8 @@ Status ValidateAssignInputs(const ModelSnapshot& snapshot,
   }
   FAIRKM_RETURN_NOT_OK(data::ValidateFinite(new_points, "request points"));
   if (new_sensitive == nullptr) return Status::OK();
-  const size_t rows = new_points.rows();
-  if (new_sensitive->categorical.size() != m.categorical.size() ||
-      new_sensitive->numeric.size() != m.numeric.size()) {
-    return Status::InvalidArgument(
-        "new sensitive view must mirror the published model's attribute "
-        "structure (same categorical/numeric attributes, same order)");
-  }
-  // Every attribute's length explicitly — a ragged view must be rejected
-  // before any per-row indexing.
-  for (size_t a = 0; a < m.categorical.size(); ++a) {
-    const auto& attr = new_sensitive->categorical[a];
-    if (attr.codes.size() != rows) {
-      return Status::InvalidArgument(
-          "new sensitive attribute \"" + m.categorical[a].name + "\" covers " +
-          std::to_string(attr.codes.size()) + " rows, points have " +
-          std::to_string(rows));
-    }
-    const int card = m.categorical[a].cardinality;
-    for (size_t i = 0; i < rows; ++i) {
-      if (attr.codes[i] < 0 || attr.codes[i] >= card) {
-        return Status::InvalidArgument(
-            "attribute \"" + m.categorical[a].name + "\" code " +
-            std::to_string(attr.codes[i]) + " at row " + std::to_string(i) +
-            " outside the trained cardinality " + std::to_string(card));
-      }
-    }
-  }
-  for (size_t a = 0; a < m.numeric.size(); ++a) {
-    const auto& attr = new_sensitive->numeric[a];
-    if (attr.values.size() != rows) {
-      return Status::InvalidArgument(
-          "new sensitive attribute \"" + m.numeric[a].name + "\" covers " +
-          std::to_string(attr.values.size()) + " rows, points have " +
-          std::to_string(rows));
-    }
-    for (size_t i = 0; i < rows; ++i) {
-      if (!std::isfinite(attr.values[i])) {
-        return Status::InvalidArgument(
-            "new sensitive attribute \"" + m.numeric[a].name +
-            "\" has a non-finite value at row " + std::to_string(i));
-      }
-    }
-  }
-  return Status::OK();
+  return data::ValidateRequestView(m.categorical, m.numeric, *new_sensitive,
+                                   new_points.rows());
 }
 
 void AssignRows(const ModelSnapshot& snapshot, const data::Matrix& new_points,
@@ -205,10 +115,11 @@ void AssignRows(const ModelSnapshot& snapshot, const data::Matrix& new_points,
         if (dist < 0.0) dist = 0.0;
         double cost = scratch->scale[c] * dist;
         if (new_sensitive != nullptr) {
-          cost += m.lambda *
-                  InsertionFairnessDelta(m, scratch->codes.data(),
-                                         scratch->values.data(),
-                                         static_cast<int>(c));
+          cost += m.lambda * core::FairnessInsertionDelta(
+                                m.categorical, m.numeric, m.moments,
+                                m.counts[c], m.num_rows, m.config,
+                                scratch->codes.data(), scratch->values.data(),
+                                static_cast<int>(c));
         }
         // Strict < with first-wins: ties break toward the smallest cluster
         // id, exactly like the scalar Assign path.

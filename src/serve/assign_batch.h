@@ -1,8 +1,9 @@
 // Batched out-of-sample assignment against a frozen ModelSnapshot.
 //
-// FairKMSolver::Assign scores one point at a time with a naive O(d) distance
-// loop per candidate cluster. AssignBatch scores whole request batches
-// through the aligned kernel path instead: each point row is streamed
+// FairKMSolver::Assign (through FairKMState::BestInsertion) scores one point
+// at a time with a naive O(d) distance loop per candidate cluster.
+// AssignBatch scores whole request batches through the aligned kernel path
+// instead: each point row is streamed
 // directly from the request matrix when it already has the kernel layout
 // (width == padded stride, 32-byte-aligned storage), else copied once into a
 // lane-padded 32-byte-aligned scratch block; its x·mu_c against ALL k
@@ -12,9 +13,10 @@
 //   d(x, mu_c)^2 = ||x||^2 - 2 x·mu_c + ||mu_c||^2
 //
 // with ||mu_c||^2 cached in the snapshot at export time (one Dot per point
-// for ||x||^2). The Eq. 1 insertion cost on top — |C|/(|C|+1) scaling plus
-// lambda times the fairness insertion delta priced from the snapshot's
-// moment tables — uses the exact arithmetic of the scalar path, so the two
+// for ||x||^2). The Eq. 1 insertion cost on top is the scalar path's: the
+// same |C|/(|C|+1) division, plus lambda times core::FairnessInsertionDelta
+// (core/objective.h) evaluated over the snapshot's frozen copy of the moment
+// tables, and requests pass the same data::ValidateRequestView. So the two
 // paths pick IDENTICAL argmin clusters (the expanded-form distance differs
 // from the naive two-loop distance only by floating-point reassociation,
 // which the argmin with its deterministic smallest-id tie-break tolerates;
@@ -53,10 +55,9 @@ struct AssignScratch {
   std::vector<double> values;    ///< Gathered numeric values of one point.
 };
 
-/// \brief Validates a request against the snapshot: feature width, the
-/// sensitive view mirroring the trained attribute structure, EVERY
-/// attribute's row count (ragged views are rejected before any indexing),
-/// and categorical codes within the trained cardinalities.
+/// \brief Validates a request against the snapshot: feature width, finite
+/// coordinates, and — when a sensitive view is given —
+/// data::ValidateRequestView against the snapshot's attribute structure.
 Status ValidateAssignInputs(const ModelSnapshot& snapshot,
                             const data::Matrix& new_points,
                             const data::SensitiveView* new_sensitive);

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <thread>
 
+#include "common/backoff.h"
+
 namespace fairkm {
 namespace serve {
 
@@ -12,12 +14,9 @@ bool IsRetryable(const Status& status) {
 }
 
 double BackoffCeilingSeconds(const RetryPolicy& policy, int retry) {
-  double ceiling = policy.initial_backoff_seconds;
-  for (int i = 1; i < retry; ++i) {
-    ceiling *= policy.backoff_multiplier;
-    if (ceiling >= policy.max_backoff_seconds) break;
-  }
-  return std::clamp(ceiling, 0.0, policy.max_backoff_seconds);
+  return ExponentialBackoffCeiling(policy.initial_backoff_seconds,
+                                   policy.backoff_multiplier,
+                                   policy.max_backoff_seconds, retry);
 }
 
 Result<cluster::Assignment> AssignWithRetry(

@@ -73,18 +73,54 @@ std::string EncodeModel(const core::ModelExport& model, uint64_t version) {
   w.PutVector(model.moments.num_sums,
               [&w](const std::vector<double>& v) { PutDoubles(&w, v); });
   w.PutVector(model.categorical,
-              [&w](const core::ModelExport::CategoricalAttr& a) {
+              [&w](const data::CategoricalSensitive& a) {
                 w.PutString(a.name);
                 w.PutU32(static_cast<uint32_t>(a.cardinality));
                 PutDoubles(&w, a.dataset_fractions);
                 w.PutDouble(a.weight);
               });
-  w.PutVector(model.numeric, [&w](const core::ModelExport::NumericAttr& a) {
+  w.PutVector(model.numeric, [&w](const data::NumericSensitive& a) {
     w.PutString(a.name);
     w.PutDouble(a.dataset_mean);
     w.PutDouble(a.weight);
   });
   return w.Release();
+}
+
+// A CRC only proves the bytes are what the writer streamed; serving indexes
+// every table below by cluster id and attribute code unchecked, so a payload
+// whose shapes disagree is as corrupt as a torn one.
+Status CheckModelShape(const core::ModelExport& m) {
+  const size_t k = static_cast<size_t>(m.k);
+  const auto per_cluster = [k](const std::vector<std::vector<double>>& t) {
+    for (const auto& row : t) {
+      if (row.size() != k) return false;
+    }
+    return true;
+  };
+  bool ok = m.k > 0 && m.d > 0 && m.stride % 4 == 0 && m.stride >= m.d &&
+            m.counts.size() == k && m.centroid_norms.size() == k &&
+            m.centroids.size() % m.stride == 0 &&
+            m.centroids.size() / m.stride == k &&
+            m.moments.cat_counts.size() == m.categorical.size() &&
+            m.moments.cat_u2.size() == m.categorical.size() &&
+            m.moments.cat_uq.size() == m.categorical.size() &&
+            m.moments.cat_q2.size() == m.categorical.size() &&
+            m.moments.num_sums.size() == m.numeric.size() &&
+            per_cluster(m.moments.cat_u2) && per_cluster(m.moments.cat_uq) &&
+            per_cluster(m.moments.num_sums);
+  for (size_t a = 0; ok && a < m.categorical.size(); ++a) {
+    const size_t card = static_cast<size_t>(m.categorical[a].cardinality);
+    const size_t cells = m.moments.cat_counts[a].size();
+    ok = m.categorical[a].cardinality > 0 &&
+         m.categorical[a].dataset_fractions.size() == card &&
+         cells % card == 0 && cells / card == k;
+  }
+  if (!ok) {
+    return Status::DataLoss(
+        "snapshot model tables disagree with its declared shape");
+  }
+  return Status::OK();
 }
 
 Status DecodeModel(const std::string& payload, core::ModelExport* model,
@@ -149,7 +185,8 @@ Status DecodeModel(const std::string& payload, core::ModelExport* model,
     FAIRKM_RETURN_NOT_OK(r.GetDouble(&a.dataset_mean));
     FAIRKM_RETURN_NOT_OK(r.GetDouble(&a.weight));
   }
-  return r.ExpectFullyConsumed();
+  FAIRKM_RETURN_NOT_OK(r.ExpectFullyConsumed());
+  return CheckModelShape(*model);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/objective.h"
 #include "test_util.h"
@@ -209,6 +210,35 @@ TEST(FairKMStateTest, CreateValidatesInputs) {
   Assignment bad = w.assignment;
   bad[0] = 7;
   EXPECT_FALSE(FairKMState::Create(&w.points, &w.sensitive, 2, bad).ok());
+}
+
+TEST(FairKMStateTest, RejectedAdmitLeavesStateUnchanged) {
+  World w = MakeWorld(31, 2, 4, 3, /*with_numeric=*/true);
+  auto store = std::make_shared<data::PointStore>(w.points);
+  auto state = FairKMState::Create(store, &w.sensitive, w.k, w.assignment)
+                   .ValueOrDie();
+  const Assignment assignment_before = state.assignment();
+  const size_t sizes_before[2] = {state.cluster_size(0), state.cluster_size(1)};
+  const double kmeans_before = state.KMeansTermCached();
+
+  // Append a row whose SECOND categorical attribute carries a code outside
+  // its cardinality: the first attribute's code is valid, so a check made
+  // mid-update would already have written the earlier aggregates.
+  const double row[3] = {1.0, -2.0, 0.5};
+  ASSERT_TRUE(store->AppendRow(row, 3).ok());
+  w.sensitive.categorical[0].codes.push_back(0);
+  w.sensitive.categorical[1].codes.push_back(
+      w.sensitive.categorical[1].cardinality);
+  w.sensitive.numeric[0].values.push_back(1.0);
+
+  const Status st = state.AdmitAppended(0);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(state.num_rows(), 4u);
+  EXPECT_EQ(state.assignment(), assignment_before);
+  EXPECT_EQ(state.cluster_size(0), sizes_before[0]);
+  EXPECT_EQ(state.cluster_size(1), sizes_before[1]);
+  EXPECT_EQ(state.KMeansTermCached(), kmeans_before);
 }
 
 TEST(FairKMStateTest, PrototypeSnapshotFreezesKMeansDeltas) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -157,7 +158,7 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
   EXPECT_EQ(a.cat_u2, b.cat_u2);
   EXPECT_EQ(a.cat_uq, b.cat_uq);
 
-  core::FairKMState::FairnessMomentTables ma, mb;
+  core::FairnessMomentTables ma, mb;
   live.ExportFairnessMoments(&ma);
   fresh.ExportFairnessMoments(&mb);
   EXPECT_EQ(ma.cat_counts, mb.cat_counts);
@@ -471,9 +472,79 @@ TEST(OnlineValidation, AdmitRejectsBadBatchesWithoutStateChange) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   }
+  // The cases the solver's and the serve tier's request tests check too;
+  // Admit validates through the same function, before the first row lands.
+  const auto expect_rejected = [&](const char* what, data::Matrix pts,
+                                   data::SensitiveView sv) {
+    auto r = engine->Admit(pts, &sv);
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  const int dim = static_cast<int>(world.points.cols());
+  ASSERT_GE(world.sensitive.categorical.size(), 2u);
+  ASSERT_GE(world.sensitive.numeric.size(), 1u);
+  {
+    data::SensitiveView sv = MakeAdmitView(world.sensitive, 2, &rng);
+    sv.categorical[1].codes.pop_back();
+    expect_rejected("ragged second categorical attribute",
+                    MakeBlobs(1, 2, dim, &rng), sv);
+  }
+  {
+    data::SensitiveView sv = MakeAdmitView(world.sensitive, 2, &rng);
+    sv.numeric[0].values.pop_back();
+    expect_rejected("ragged numeric attribute", MakeBlobs(1, 2, dim, &rng), sv);
+  }
+  {
+    data::Matrix pts = MakeBlobs(1, 2, dim, &rng);
+    pts.At(1, 0) = std::numeric_limits<double>::quiet_NaN();
+    expect_rejected("NaN coordinate", pts,
+                    MakeAdmitView(world.sensitive, 2, &rng));
+  }
+  {
+    data::SensitiveView sv = MakeAdmitView(world.sensitive, 2, &rng);
+    sv.numeric[0].values[1] = std::numeric_limits<double>::infinity();
+    expect_rejected("non-finite numeric value", MakeBlobs(1, 2, dim, &rng),
+                    sv);
+  }
+  {
+    data::SensitiveView sv = MakeAdmitView(world.sensitive, 2, &rng);
+    sv.categorical.pop_back();
+    expect_rejected("mismatched attribute count", MakeBlobs(1, 2, dim, &rng),
+                    sv);
+  }
   const OnlineStats after = engine->Stats();
   EXPECT_EQ(after.admitted, before.admitted);
   EXPECT_EQ(after.live_rows, before.live_rows);
+}
+
+TEST(OnlineValidation, AdmitPlacesEachRowWhereSolverAssignWould) {
+  const SeededWorld world = MakeSeededWorld(67);
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  options.drift.regression_tolerance = 1e12;
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/8);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+  Rng rng(71);
+
+  // One-row admits score against the live state exactly as the solver's
+  // out-of-sample Assign does just before the admit, so each admitted row
+  // lands in the cluster Assign returned.
+  for (int step = 0; step < 24; ++step) {
+    const data::Matrix row =
+        MakeBlobs(1, 1, static_cast<int>(world.points.cols()), &rng);
+    const data::SensitiveView sv = MakeAdmitView(world.sensitive, 1, &rng);
+    auto expected = engine->solver().Assign(row, sv);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    auto ids = engine->Admit(row, &sv);
+    ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+    EXPECT_EQ(engine->CurrentAssignment().back(),
+              expected.ValueOrDie().front())
+        << "step " << step;
+  }
+  EXPECT_EQ(engine->Stats().resweeps, 0u);
 }
 
 TEST(OnlineValidation, RetireRejectsBadBatchesWholesale) {

@@ -9,6 +9,8 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -157,6 +159,69 @@ TEST_F(SnapshotIoTest, CorruptFilesAreDataLoss) {
     EXPECT_EQ(result.status().code(), StatusCode::kDataLoss)
         << "flip at byte " << pos;
   }
+}
+
+TEST_F(SnapshotIoTest, InconsistentShapesAreDataLoss) {
+  const SeededWorld world = MakeSeededWorld(405);
+  const auto snapshot = TrainedSnapshot(world, /*version=*/3);
+  const ModelExport& good = snapshot->model();
+  ASSERT_FALSE(good.categorical.empty());
+  ASSERT_FALSE(good.numeric.empty());
+
+  // Each edit leaves a CRC-valid, fully parseable payload whose tables
+  // disagree with the declared shape — serving would index past them.
+  const std::vector<std::pair<const char*, void (*)(ModelExport*)>> edits = {
+      {"k larger than every table", [](ModelExport* m) { m->k = 7; }},
+      {"one cluster count short",
+       [](ModelExport* m) { m->counts.pop_back(); }},
+      {"one centroid norm short",
+       [](ModelExport* m) { m->centroid_norms.pop_back(); }},
+      {"one centroid row short",
+       [](ModelExport* m) {
+         m->centroids.resize(m->centroids.size() - m->stride);
+       }},
+      {"stride below d", [](ModelExport* m) { m->d = m->stride + 1; }},
+      {"stride not lane-padded", [](ModelExport* m) {
+         m->stride += 1;
+         m->centroids.resize(m->centroids.size() + static_cast<size_t>(m->k));
+       }},
+      {"zero cardinality",
+       [](ModelExport* m) { m->categorical[0].cardinality = 0; }},
+      {"fractions short",
+       [](ModelExport* m) { m->categorical[0].dataset_fractions.pop_back(); }},
+      {"count table short",
+       [](ModelExport* m) { m->moments.cat_counts[0].pop_back(); }},
+      {"U2 table short",
+       [](ModelExport* m) { m->moments.cat_u2[1].pop_back(); }},
+      {"UQ table short",
+       [](ModelExport* m) { m->moments.cat_uq[0].pop_back(); }},
+      {"numeric sums short",
+       [](ModelExport* m) { m->moments.num_sums[0].pop_back(); }},
+      {"Q2 constants missing an attribute",
+       [](ModelExport* m) { m->moments.cat_q2.pop_back(); }},
+      {"moment tables missing an attribute",
+       [](ModelExport* m) {
+         m->moments.cat_counts.pop_back();
+         m->moments.cat_u2.pop_back();
+         m->moments.cat_uq.pop_back();
+         m->moments.cat_q2.pop_back();
+       }},
+      {"numeric tables missing an attribute",
+       [](ModelExport* m) { m->moments.num_sums.pop_back(); }},
+  };
+  for (const auto& [name, edit] : edits) {
+    ModelExport bad = good;
+    edit(&bad);
+    const std::string path = Path("bad.fkms");
+    ASSERT_TRUE(WriteModelSnapshot(path, ModelSnapshot(std::move(bad), 3)).ok())
+        << name;
+    const auto result = ReadModelSnapshot(path);
+    ASSERT_FALSE(result.ok()) << name;
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << name;
+  }
+  // The untouched export still round-trips through the same check.
+  ASSERT_TRUE(WriteModelSnapshot(Path("good.fkms"), *snapshot).ok());
+  EXPECT_TRUE(ReadModelSnapshot(Path("good.fkms")).ok());
 }
 
 TEST_F(SnapshotIoTest, InjectedTornRenameReadsAsDataLoss) {
