@@ -10,7 +10,8 @@
 //     evaluations the gate rejected),
 //   * fast incremental deltas vs naive full-objective recomputation,
 //   * FairKM vs K-Means vs ZGYA (hard and soft) at a fixed size,
-//   * single move-delta evaluation cost.
+//   * single move-delta evaluation cost,
+//   * the silhouette score on the scalar vs dispatched distance kernel.
 
 #include <benchmark/benchmark.h>
 
@@ -33,6 +34,7 @@
 #include "core/solver.h"
 #include "data/point_store.h"
 #include "data/preprocess.h"
+#include "metrics/quality.h"
 #include "online/online_fairkm.h"
 #include "serve/assign_batch.h"
 #include "serve/model_snapshot.h"
@@ -555,6 +557,41 @@ void BM_KernelCatMoments_Dispatch(benchmark::State& state) {
   KernelCatMomentsLoop(state, core::kernels::ActiveBackend());
 }
 BENCHMARK(BM_KernelCatMoments_Dispatch)->Arg(8)->Arg(42);
+
+// Silhouette pair (n = 20000, d = 32, k = 8, 500 sampled probes):
+// metrics::SilhouetteScore with the SilhouetteSums kernel pinned to the
+// scalar backend vs whatever runtime dispatch selected. Both return the same
+// score to the bit (tests/quality_test.cc); tools/bench_json.sh gates the
+// cpu_time ratio at MIN_SILHOUETTE_SPEEDUP.
+void SilhouetteLoop(benchmark::State& state,
+                    const core::kernels::Backend& backend) {
+  constexpr size_t kRows = 20000, kDims = 32;
+  constexpr int kK = 8;
+  Rng rng(19);
+  data::Matrix points(kRows, kDims);
+  for (double& v : points.data()) v = rng.UniformDouble(0.0, 1.0);
+  cluster::Assignment labels(kRows);
+  for (auto& c : labels) c = static_cast<int32_t>(rng.UniformInt(uint64_t{kK}));
+  metrics::SilhouetteOptions options;
+  options.max_exact_rows = 0;
+  options.sample_size = 500;
+  core::kernels::SetActiveBackend(&backend);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        metrics::SilhouetteScore(points, labels, kK, options));
+  }
+  core::kernels::SetActiveBackend(nullptr);
+}
+
+void BM_Silhouette_Scalar(benchmark::State& state) {
+  SilhouetteLoop(state, core::kernels::ScalarBackend());
+}
+BENCHMARK(BM_Silhouette_Scalar)->Unit(benchmark::kMillisecond);
+
+void BM_Silhouette_Dispatch(benchmark::State& state) {
+  SilhouetteLoop(state, core::kernels::ActiveBackend());
+}
+BENCHMARK(BM_Silhouette_Dispatch)->Unit(benchmark::kMillisecond);
 
 // Zero-work marker whose *name* records the dispatch-selected backend, so
 // BENCH_scaling.json documents which backend produced the _Dispatch numbers

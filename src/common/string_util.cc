@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -67,7 +68,10 @@ bool ParseDouble(std::string_view s, double* out) {
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  if (end != buf.c_str() + buf.size()) return false;
+  // ERANGE also flags underflow, whose result (a subnormal or zero) is a
+  // valid finite value; only overflow to +-HUGE_VAL is a failure.
+  if (errno == ERANGE && std::fabs(v) == HUGE_VAL) return false;
   *out = v;
   return true;
 }

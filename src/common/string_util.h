@@ -33,7 +33,8 @@ std::string PadLeft(std::string_view s, size_t width);
 /// \brief Right-pads `s` with spaces to `width`.
 std::string PadRight(std::string_view s, size_t width);
 
-/// \brief Parses a double; returns false on malformed or trailing input.
+/// \brief Parses a double; returns false on malformed or trailing input and
+/// on overflow. Underflow to a subnormal (or zero) parses.
 bool ParseDouble(std::string_view s, double* out);
 
 /// \brief Parses a signed 64-bit integer; returns false on malformed input.

@@ -27,6 +27,11 @@
 //     FMA contraction (the kernel TUs build with -ffp-contract=off), so the
 //     fairness aggregates — and therefore the optimizer trajectory of the
 //     fairness term — do not depend on the dispatched backend.
+//   * SilhouetteSums is BIT-FOR-BIT identical across backends too: every
+//     probe-row distance sums its squared differences in ascending dimension
+//     order (separate multiply and add, no FMA), and every per-cluster sum
+//     adds its distances in ascending row order, so the silhouette
+//     (metrics/quality.h) does not depend on the dispatched backend.
 
 #ifndef FAIRKM_CORE_KERNELS_KERNELS_H_
 #define FAIRKM_CORE_KERNELS_KERNELS_H_
@@ -86,7 +91,20 @@ struct Backend {
                          double scale_rem_after, double scale_ins_after,
                          double* rem, double* ins, double* rem_min,
                          double* ins_min);
+
+  /// Silhouette distance sums for one tile of `num_probes` (1..8) probe
+  /// rows: for every row i of the row-major rows x cols matrix `mat`, in
+  /// ascending order, adds sqrt(sum_j (probes[l][j] - mat[i][j])^2) into
+  /// sums[l * k + labels[i]] for each probe l. The inner sum runs over j in
+  /// ascending order with a separate multiply and add; `sums` is
+  /// accumulated into, not cleared. No alignment requirement.
+  void (*SilhouetteSums)(const double* const* probes, size_t num_probes,
+                         const double* mat, size_t rows, size_t cols,
+                         const int32_t* labels, size_t k, double* sums);
 };
+
+/// \brief Probe rows per SilhouetteSums tile.
+inline constexpr size_t kSilhouetteTile = 8;
 
 /// \brief The portable reference backend (always available).
 const Backend& ScalarBackend();

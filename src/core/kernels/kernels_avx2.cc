@@ -7,6 +7,8 @@
 // scalar backend; callers tolerate 1e-9). CatMoments deliberately avoids FMA
 // and mirrors the scalar backend's 4-lane blocked accumulation and reduction
 // tree exactly, so the fairness moments are bit-for-bit backend-independent.
+// SilhouetteSums likewise avoids FMA and keeps the scalar per-distance and
+// per-sum orders, so it is bit-for-bit backend-independent as well.
 
 #include "core/kernels/kernels.h"
 
@@ -201,9 +203,86 @@ void CatDeltaBoundsAvx2(const int64_t* counts, const double* fractions,
   *ins_min = m == 0 ? 0.0 : imin;
 }
 
+// One row's squared differences against the 8-lane probe tile at dimension
+// j, added into the row's two accumulators (lanes 0-3 and 4-7): sub, mul,
+// add as three separate roundings, exactly as SilhouetteSumsScalar does it.
+inline void AccumulateSquaredDiff(__m256d lo, __m256d hi, const double* x,
+                                  __m256d* acc_lo, __m256d* acc_hi) {
+  const __m256d xv = _mm256_broadcast_sd(x);
+  const __m256d d_lo = _mm256_sub_pd(lo, xv);
+  const __m256d d_hi = _mm256_sub_pd(hi, xv);
+  *acc_lo = _mm256_add_pd(*acc_lo, _mm256_mul_pd(d_lo, d_lo));
+  *acc_hi = _mm256_add_pd(*acc_hi, _mm256_mul_pd(d_hi, d_hi));
+}
+
+// Silhouette distance sums over a probe tile transposed to structure of
+// arrays (tile[j * 8 + l] = probes[l][j]), so one broadcast of a row value
+// feeds all 8 probes. Four rows are register-blocked — 8 independent
+// accumulator chains, each summing over ascending j like the scalar loop —
+// then square-rooted in-vector and scatter-added in row order, so every
+// per-cluster sum sees its distances in the scalar backend's order.
+void SilhouetteSumsAvx2(const double* const* probes, size_t num_probes,
+                        const double* mat, size_t rows, size_t cols,
+                        const int32_t* labels, size_t k, double* sums) {
+  // Lanes past num_probes stay zero; their distances are never added.
+  double* tile = new double[cols * kSilhouetteTile]();
+  for (size_t l = 0; l < num_probes; ++l) {
+    for (size_t j = 0; j < cols; ++j) tile[j * kSilhouetteTile + l] = probes[l][j];
+  }
+  double dist[4][kSilhouetteTile];
+  auto scatter = [&](size_t first_row, size_t count) {
+    for (size_t r = 0; r < count; ++r) {
+      double* row_sums = sums + static_cast<size_t>(labels[first_row + r]);
+      for (size_t l = 0; l < num_probes; ++l) row_sums[l * k] += dist[r][l];
+    }
+  };
+  size_t i = 0;
+  for (; i + 4 <= rows; i += 4) {
+    const double* r0 = mat + i * cols;
+    const double* r1 = r0 + cols;
+    const double* r2 = r1 + cols;
+    const double* r3 = r2 + cols;
+    __m256d a0l = _mm256_setzero_pd(), a0h = _mm256_setzero_pd();
+    __m256d a1l = _mm256_setzero_pd(), a1h = _mm256_setzero_pd();
+    __m256d a2l = _mm256_setzero_pd(), a2h = _mm256_setzero_pd();
+    __m256d a3l = _mm256_setzero_pd(), a3h = _mm256_setzero_pd();
+    for (size_t j = 0; j < cols; ++j) {
+      const __m256d lo = _mm256_loadu_pd(tile + j * kSilhouetteTile);
+      const __m256d hi = _mm256_loadu_pd(tile + j * kSilhouetteTile + 4);
+      AccumulateSquaredDiff(lo, hi, r0 + j, &a0l, &a0h);
+      AccumulateSquaredDiff(lo, hi, r1 + j, &a1l, &a1h);
+      AccumulateSquaredDiff(lo, hi, r2 + j, &a2l, &a2h);
+      AccumulateSquaredDiff(lo, hi, r3 + j, &a3l, &a3h);
+    }
+    _mm256_storeu_pd(dist[0], _mm256_sqrt_pd(a0l));
+    _mm256_storeu_pd(dist[0] + 4, _mm256_sqrt_pd(a0h));
+    _mm256_storeu_pd(dist[1], _mm256_sqrt_pd(a1l));
+    _mm256_storeu_pd(dist[1] + 4, _mm256_sqrt_pd(a1h));
+    _mm256_storeu_pd(dist[2], _mm256_sqrt_pd(a2l));
+    _mm256_storeu_pd(dist[2] + 4, _mm256_sqrt_pd(a2h));
+    _mm256_storeu_pd(dist[3], _mm256_sqrt_pd(a3l));
+    _mm256_storeu_pd(dist[3] + 4, _mm256_sqrt_pd(a3h));
+    scatter(i, 4);
+  }
+  for (; i < rows; ++i) {
+    const double* row = mat + i * cols;
+    __m256d acc_lo = _mm256_setzero_pd(), acc_hi = _mm256_setzero_pd();
+    for (size_t j = 0; j < cols; ++j) {
+      AccumulateSquaredDiff(_mm256_loadu_pd(tile + j * kSilhouetteTile),
+                            _mm256_loadu_pd(tile + j * kSilhouetteTile + 4),
+                            row + j, &acc_lo, &acc_hi);
+    }
+    _mm256_storeu_pd(dist[0], _mm256_sqrt_pd(acc_lo));
+    _mm256_storeu_pd(dist[0] + 4, _mm256_sqrt_pd(acc_hi));
+    scatter(i, 1);
+  }
+  delete[] tile;
+}
+
 const Backend kAvx2Backend = {"avx2-fma",      DotAvx2,
                               GemvAvx2,        GemvAlignedAvx2,
-                              CatMomentsAvx2,  CatDeltaBoundsAvx2};
+                              CatMomentsAvx2,  CatDeltaBoundsAvx2,
+                              SilhouetteSumsAvx2};
 
 }  // namespace
 

@@ -5,6 +5,8 @@
 
 #include "core/kernels/kernels.h"
 
+#include <cmath>
+
 namespace fairkm {
 namespace core {
 namespace kernels {
@@ -87,9 +89,31 @@ void CatDeltaBoundsScalar(const int64_t* counts, const double* fractions,
   *ins_min = imin;
 }
 
+// Probe by probe, row by row: the plain silhouette distance loop. Each
+// distance accumulates (a - b)^2 over ascending j; the AVX2 backend keeps
+// that per-lane order, so the sums match bit for bit.
+void SilhouetteSumsScalar(const double* const* probes, size_t num_probes,
+                          const double* mat, size_t rows, size_t cols,
+                          const int32_t* labels, size_t k, double* sums) {
+  for (size_t l = 0; l < num_probes; ++l) {
+    const double* probe = probes[l];
+    double* probe_sums = sums + l * k;
+    const double* row = mat;
+    for (size_t i = 0; i < rows; ++i, row += cols) {
+      double sq = 0.0;
+      for (size_t j = 0; j < cols; ++j) {
+        const double diff = probe[j] - row[j];
+        sq += diff * diff;
+      }
+      probe_sums[static_cast<size_t>(labels[i])] += std::sqrt(sq);
+    }
+  }
+}
+
 const Backend kScalarBackend = {"scalar",         DotScalar,
                                 GemvScalar,       GemvAlignedScalar,
-                                CatMomentsScalar, CatDeltaBoundsScalar};
+                                CatMomentsScalar, CatDeltaBoundsScalar,
+                                SilhouetteSumsScalar};
 
 }  // namespace
 

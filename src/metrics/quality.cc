@@ -4,52 +4,56 @@
 #include <cmath>
 #include <limits>
 
+#include "core/kernels/kernels.h"
 #include "metrics/hungarian.h"
 
 namespace fairkm {
 namespace metrics {
 namespace {
 
-// Mean silhouette of the given probe points, each evaluated against every row.
+// Mean silhouette of the given probe points, each evaluated against every
+// row. The distance sums come from the dispatched SilhouetteSums kernel in
+// tiles of kSilhouetteTile probes. A probe's distance to itself is exactly
+// +0.0 and leaves its sums unchanged, so no row needs skipping.
 double SilhouetteOverProbes(const data::Matrix& points,
                             const cluster::Assignment& assignment, int k,
                             const std::vector<size_t>& probes) {
+  namespace kernels = core::kernels;
+  const kernels::Backend& backend = kernels::ActiveBackend();
   const std::vector<size_t> sizes = cluster::ClusterSizes(assignment, k);
+  const size_t uk = static_cast<size_t>(k);
   double total = 0.0;
-  size_t counted = 0;
-  std::vector<double> dist_sum(static_cast<size_t>(k));
-  for (size_t p : probes) {
-    const size_t own = static_cast<size_t>(assignment[p]);
-    if (sizes[own] <= 1) {
+  std::vector<double> dist_sums(kernels::kSilhouetteTile * uk);
+  const double* tile_rows[kernels::kSilhouetteTile];
+  for (size_t first = 0; first < probes.size();
+       first += kernels::kSilhouetteTile) {
+    const size_t tile =
+        std::min(kernels::kSilhouetteTile, probes.size() - first);
+    for (size_t l = 0; l < tile; ++l) {
+      tile_rows[l] = points.Row(probes[first + l]);
+    }
+    std::fill(dist_sums.begin(), dist_sums.end(), 0.0);
+    backend.SilhouetteSums(tile_rows, tile, points.Row(0), points.rows(),
+                           points.cols(), assignment.data(), uk,
+                           dist_sums.data());
+    for (size_t l = 0; l < tile; ++l) {
+      const double* dist_sum = dist_sums.data() + l * uk;
+      const size_t own = static_cast<size_t>(assignment[probes[first + l]]);
       // Singleton: silhouette defined as 0.
-      ++counted;
-      continue;
+      if (sizes[own] <= 1) continue;
+      const double a = dist_sum[own] / static_cast<double>(sizes[own] - 1);
+      double b = std::numeric_limits<double>::infinity();
+      for (size_t c = 0; c < uk; ++c) {
+        if (c == own || sizes[c] == 0) continue;
+        b = std::min(b, dist_sum[c] / static_cast<double>(sizes[c]));
+      }
+      // Single non-empty cluster: silhouette undefined; counts as 0.
+      if (!std::isfinite(b)) continue;
+      const double denom = std::max(a, b);
+      total += denom > 0.0 ? (b - a) / denom : 0.0;
     }
-    std::fill(dist_sum.begin(), dist_sum.end(), 0.0);
-    for (size_t i = 0; i < points.rows(); ++i) {
-      if (i == p) continue;
-      const double d = std::sqrt(
-          data::SquaredDistance(points.Row(p), points.Row(i), points.cols()));
-      dist_sum[static_cast<size_t>(assignment[i])] += d;
-    }
-    const double a =
-        dist_sum[own] / static_cast<double>(sizes[own] - 1);
-    double b = std::numeric_limits<double>::infinity();
-    for (int c = 0; c < k; ++c) {
-      const size_t cc = static_cast<size_t>(c);
-      if (cc == own || sizes[cc] == 0) continue;
-      b = std::min(b, dist_sum[cc] / static_cast<double>(sizes[cc]));
-    }
-    if (!std::isfinite(b)) {
-      // Single non-empty cluster: silhouette undefined; count as 0.
-      ++counted;
-      continue;
-    }
-    const double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
-    ++counted;
   }
-  return counted > 0 ? total / static_cast<double>(counted) : 0.0;
+  return probes.empty() ? 0.0 : total / static_cast<double>(probes.size());
 }
 
 }  // namespace

@@ -32,6 +32,12 @@ struct SilhouetteOptions {
 
 /// \brief Silhouette score SH in [-1, 1]; higher is better. Euclidean
 /// distances over N; singleton clusters score 0 (sklearn convention).
+/// The probe-to-row distance sums run on the dispatched
+/// core::kernels::Backend::SilhouetteSums kernel in tiles of 8 probes; that
+/// kernel is bit-for-bit identical across backends and keeps the plain
+/// per-probe loop's summation order, so the score is the same to the bit
+/// whichever backend runs and equals the scalar oracle in
+/// tests/testlib/brute_force.h.
 double SilhouetteScore(const data::Matrix& points,
                        const cluster::Assignment& assignment, int k,
                        const SilhouetteOptions& options = {});

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "common/csv.h"
 #include "data/matrix.h"
 
 namespace fairkm {
@@ -153,6 +156,19 @@ TEST(DatasetTest, FromCsvTypeInference) {
   ASSERT_TRUE(d.ok());
   EXPECT_TRUE(d.ValueOrDie().FindNumeric("num").ok());
   EXPECT_TRUE(d.ValueOrDie().FindCategorical("mixed").ok());
+}
+
+// A subnormal value is a number: it must not re-type its column as
+// categorical and drop it from the numeric features.
+TEST(DatasetTest, FromCsvSubnormalColumnStaysNumeric) {
+  auto csv = ParseCsv("x,y\n1,2\n1e-310,3\n");
+  ASSERT_TRUE(csv.ok());
+  auto d = Dataset::FromCsv(csv.ValueOrDie());
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(d.ValueOrDie().NumericNames(), (std::vector<std::string>{"x", "y"}));
+  auto x = d.ValueOrDie().FindNumeric("x");
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ(x.ValueOrDie()->values[1], 1e-310);
 }
 
 }  // namespace

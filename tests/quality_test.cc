@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iomanip>
+#include <vector>
 
 #include "cluster/kmeans.h"
+#include "core/kernels/kernels.h"
 #include "test_util.h"
+#include "testlib/brute_force.h"
 
 namespace fairkm {
 namespace metrics {
@@ -75,6 +81,118 @@ TEST(SilhouetteTest, SampledApproximatesExact) {
   const double se = SilhouetteScore(pts, r.assignment, 4, exact);
   const double ss = SilhouetteScore(pts, r.assignment, 4, sampled);
   EXPECT_NEAR(se, ss, 0.1);
+}
+
+// --- Kernel-backed silhouette vs the scalar oracle, bit for bit ---
+
+std::vector<const core::kernels::Backend*> KernelBackends() {
+  std::vector<const core::kernels::Backend*> backends = {
+      &core::kernels::ScalarBackend()};
+  if (const auto* avx2 = core::kernels::Avx2Backend()) backends.push_back(avx2);
+  return backends;
+}
+
+// Values spanning several orders of magnitude, so a changed summation order
+// would show in the last bits.
+data::Matrix RandomPoints(size_t n, size_t d, Rng* rng) {
+  data::Matrix pts(n, d);
+  for (double& v : pts.data()) {
+    v = rng->UniformDouble(-1.0, 1.0) * std::pow(10.0, rng->UniformDouble(-3.0, 3.0));
+  }
+  return pts;
+}
+
+Assignment RandomLabels(size_t n, int k, Rng* rng) {
+  Assignment labels(n);
+  for (auto& c : labels) {
+    c = static_cast<int32_t>(rng->UniformInt(static_cast<uint64_t>(k)));
+  }
+  return labels;
+}
+
+// SilhouetteScore under every available backend must equal the oracle to the
+// bit (memcmp, so even a sign-of-zero difference fails).
+::testing::AssertionResult MatchesOracle(const data::Matrix& pts,
+                                         const Assignment& labels, int k,
+                                         const SilhouetteOptions& options = {}) {
+  const double want = testutil::BruteForceSilhouette(pts, labels, k, options);
+  ::testing::AssertionResult result = ::testing::AssertionSuccess();
+  for (const core::kernels::Backend* backend : KernelBackends()) {
+    core::kernels::SetActiveBackend(backend);
+    const double got = SilhouetteScore(pts, labels, k, options);
+    if (std::memcmp(&got, &want, sizeof(double)) != 0) {
+      result = ::testing::AssertionFailure()
+               << backend->name << ": " << std::setprecision(17) << got
+               << " vs oracle " << want;
+      break;
+    }
+  }
+  core::kernels::SetActiveBackend(nullptr);
+  return result;
+}
+
+TEST(SilhouetteKernelTest, ExactPathMatchesOracleAcrossShapes) {
+  Rng rng(101);
+  for (size_t n : {1, 2, 3, 5, 37}) {
+    for (size_t d : {1, 3, 4, 5, 31, 32, 33}) {
+      for (int k : {1, 2, 3}) {
+        const data::Matrix pts = RandomPoints(n, d, &rng);
+        EXPECT_TRUE(MatchesOracle(pts, RandomLabels(n, k, &rng), k))
+            << "n=" << n << " d=" << d << " k=" << k;
+      }
+    }
+  }
+}
+
+// n = 4097 exceeds max_exact_rows, so the default options take the sampled
+// path: 2000 probes = 250 full tiles over a row count that is not a multiple
+// of the 4-row block.
+TEST(SilhouetteKernelTest, SampledPathMatchesOracle) {
+  Rng rng(102);
+  const data::Matrix pts = RandomPoints(4097, 5, &rng);
+  EXPECT_TRUE(MatchesOracle(pts, RandomLabels(4097, 4, &rng), 4));
+}
+
+// Probe counts 1..9 and 2001 leave a partial last tile.
+TEST(SilhouetteKernelTest, PartialProbeTilesMatchOracle) {
+  Rng rng(103);
+  SilhouetteOptions sampled;
+  sampled.max_exact_rows = 0;
+  const data::Matrix pts = RandomPoints(61, 7, &rng);
+  const Assignment labels = RandomLabels(61, 4, &rng);
+  for (size_t probes = 1; probes <= 9; ++probes) {
+    sampled.sample_size = probes;
+    EXPECT_TRUE(MatchesOracle(pts, labels, 4, sampled)) << "probes=" << probes;
+  }
+  sampled.sample_size = 2001;
+  const data::Matrix wide = RandomPoints(2003, 3, &rng);
+  EXPECT_TRUE(MatchesOracle(wide, RandomLabels(2003, 3, &rng), 3, sampled));
+}
+
+TEST(SilhouetteKernelTest, DegenerateClusteringsMatchOracle) {
+  Rng rng(104);
+  const data::Matrix pts = RandomPoints(23, 6, &rng);
+  // Empty clusters: only labels 0, 2 and 5 of k = 6 occur.
+  const int32_t used[] = {0, 2, 5};
+  Assignment sparse(23);
+  for (size_t i = 0; i < 23; ++i) sparse[i] = used[i % 3];
+  EXPECT_TRUE(MatchesOracle(pts, sparse, 6));
+  // Singleton clusters next to a large one.
+  Assignment singletons(23, 0);
+  singletons[4] = 1;
+  singletons[17] = 2;
+  EXPECT_TRUE(MatchesOracle(pts, singletons, 3));
+  // k = 1: every probe scores 0.
+  EXPECT_TRUE(MatchesOracle(pts, Assignment(23, 0), 1));
+  // Duplicate rows give exact zero distances, inside and across clusters.
+  data::Matrix dup = RandomPoints(13, 5, &rng);
+  for (size_t i = 1; i < 13; i += 2) {
+    std::copy(dup.Row(i - 1), dup.Row(i - 1) + 5, dup.Row(i));
+  }
+  EXPECT_TRUE(MatchesOracle(dup, RandomLabels(13, 3, &rng), 3));
+  // All rows identical: a = b = 0 for every probe.
+  data::Matrix same(9, 4, 0.25);
+  EXPECT_TRUE(MatchesOracle(same, RandomLabels(9, 2, &rng), 2));
 }
 
 TEST(CentroidDeviationTest, IdenticalCentroidsZero) {

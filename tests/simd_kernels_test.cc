@@ -1,9 +1,13 @@
 // Cross-checks every kernel backend against the scalar reference under
 // randomized inputs: dims 1..33 (every AVX2 tail remainder), unaligned base
-// pointers, adversarial magnitudes. Dot/Gemv must agree within 1e-9
-// (relative); CatMoments must agree BIT-FOR-BIT — FairKMState's fairness
-// aggregates, and through them the optimizer trajectory of the fairness
-// term, must not depend on which backend cpuid picked.
+// pointers, adversarial magnitudes. Per-kernel contracts:
+//   * Dot/Gemv/GemvAligned agree within 1e-9 (relative).
+//   * CatMoments and CatDeltaBounds agree BIT-FOR-BIT — FairKMState's
+//     fairness aggregates, the pruning tables, and through them the
+//     optimizer trajectory, must not depend on which backend cpuid picked.
+//   * SilhouetteSums agrees BIT-FOR-BIT over probe tiles of 1..8 rows and
+//     row counts off the 4-row block, so the silhouette score is
+//     backend-independent.
 
 #include "core/kernels/kernels.h"
 
@@ -47,6 +51,7 @@ TEST(KernelDispatchTest, ScalarBackendAlwaysAvailable) {
   ASSERT_NE(ScalarBackend().Dot, nullptr);
   ASSERT_NE(ScalarBackend().Gemv, nullptr);
   ASSERT_NE(ScalarBackend().CatMoments, nullptr);
+  ASSERT_NE(ScalarBackend().SilhouetteSums, nullptr);
 }
 
 TEST(KernelDispatchTest, ForcedScalarDispatchPicksScalar) {
@@ -240,6 +245,45 @@ TEST(SimdKernelsTest, CatMomentsBitForBitAcrossBackends) {
             << "m=" << m << " u2 " << got_u2 << " vs " << want_u2;
         EXPECT_EQ(std::memcmp(&got_uq, &want_uq, sizeof(double)), 0)
             << "m=" << m << " uq " << got_uq << " vs " << want_uq;
+      }
+    }
+  }
+}
+
+TEST(SimdKernelsTest, SilhouetteSumsBitForBitAcrossBackends) {
+  Rng rng(1515);
+  for (const Backend* backend : AvailableBackends()) {
+    SCOPED_TRACE(backend->name);
+    for (size_t cols = 1; cols <= 33; ++cols) {
+      for (size_t tile = 1; tile <= kSilhouetteTile; ++tile) {
+        const size_t rows = 1 + rng.UniformInt(uint64_t{13});
+        const size_t k = 1 + rng.UniformInt(uint64_t{4});
+        const size_t offset = rng.UniformInt(uint64_t{4});
+        std::vector<double> mat(offset + rows * cols);
+        FillRandom(&rng, mat.data(), mat.size());
+        std::vector<double> probe_data(offset + tile * cols);
+        FillRandom(&rng, probe_data.data(), probe_data.size());
+        std::vector<const double*> probes(tile);
+        for (size_t l = 0; l < tile; ++l) {
+          probes[l] = probe_data.data() + offset + l * cols;
+        }
+        std::vector<int32_t> labels(rows);
+        for (auto& c : labels) c = static_cast<int32_t>(rng.UniformInt(k));
+        // Sums are accumulated into, so start both from the same nonzero
+        // values.
+        std::vector<double> want(tile * k);
+        FillRandom(&rng, want.data(), want.size());
+        for (double& v : want) v = std::fabs(v);
+        std::vector<double> got = want;
+        ScalarBackend().SilhouetteSums(probes.data(), tile,
+                                       mat.data() + offset, rows, cols,
+                                       labels.data(), k, want.data());
+        backend->SilhouetteSums(probes.data(), tile, mat.data() + offset,
+                                rows, cols, labels.data(), k, got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)), 0)
+            << "cols=" << cols << " tile=" << tile << " rows=" << rows
+            << " k=" << k << " offset=" << offset;
       }
     }
   }

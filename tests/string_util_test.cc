@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace fairkm {
 namespace {
 
@@ -59,6 +62,19 @@ TEST(ParseDoubleTest, ValidInputs) {
   EXPECT_DOUBLE_EQ(v, -2000.0);
   EXPECT_TRUE(ParseDouble("0", &v));
   EXPECT_DOUBLE_EQ(v, 0.0);
+}
+
+// strtod reports ERANGE on underflow as well as overflow; a subnormal is a
+// valid finite double and must parse, while an overflowing literal must not.
+TEST(ParseDoubleTest, SubnormalParsesOverflowFails) {
+  double v = 0;
+  EXPECT_TRUE(ParseDouble("1e-310", &v));
+  EXPECT_EQ(std::fpclassify(v), FP_SUBNORMAL);
+  EXPECT_EQ(v, 1e-310);
+  EXPECT_TRUE(ParseDouble("-4.9e-324", &v));
+  EXPECT_EQ(v, -std::numeric_limits<double>::denorm_min());
+  EXPECT_FALSE(ParseDouble("1e400", &v));
+  EXPECT_FALSE(ParseDouble("-1e400", &v));
 }
 
 TEST(ParseDoubleTest, InvalidInputs) {

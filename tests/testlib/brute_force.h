@@ -1,4 +1,5 @@
-// Brute-force recomputation checkers for the incremental FairKMState.
+// Brute-force recomputation checkers for the incremental FairKMState, plus
+// the scalar silhouette oracle for the kernel-backed metrics::SilhouetteScore.
 //
 // Everything here recomputes from first principles (a fresh pass over the
 // points and sensitive attributes) so the incremental aggregates have an
@@ -19,6 +20,7 @@
 #include "core/pruning.h"
 #include "data/matrix.h"
 #include "data/sensitive.h"
+#include "metrics/quality.h"
 
 namespace fairkm {
 namespace testutil {
@@ -95,6 +97,16 @@ cluster::Assignment BruteForceAssign(const data::Matrix& points,
                                             double lambda,
                                             double min_improvement,
                                             double tolerance = 1e-7);
+
+/// \brief Silhouette oracle for metrics::SilhouetteScore: the same probe
+/// choice (every row up to options.max_exact_rows, else a seeded sample),
+/// then one probe at a time a scalar pass over every other row with
+/// data::SquaredDistance + sqrt, per-cluster distance sums in row order and
+/// the per-probe silhouettes averaged in probe order. The dispatched kernel
+/// path must reproduce this bit for bit.
+double BruteForceSilhouette(const data::Matrix& points,
+                            const cluster::Assignment& assignment, int k,
+                            const metrics::SilhouetteOptions& options = {});
 
 }  // namespace testutil
 }  // namespace fairkm

@@ -68,6 +68,13 @@
 #      drift response: canonical flush + one budgeted sweep + republish) is
 #      recorded for trend tracking but not gated — its cost is O(n) by
 #      design.
+#   9. Silhouette kernel: BM_Silhouette_Scalar vs BM_Silhouette_Dispatch
+#      (metrics::SilhouetteScore, n=20k, d=32, k=8, 500 probes; the same
+#      score to the bit on both backends) must show a cpu_time ratio
+#      >= MIN_SILHOUETTE_SPEEDUP (default 2.5). When the
+#      BM_ActiveKernelBackend_* marker says "scalar" (non-AVX2 host or
+#      FAIRKM_FORCE_SCALAR set) both sides run the same code, so the gate
+#      prints a skip reason and passes rather than measure nothing.
 # The BM_ActiveKernelBackend_<name> marker entry records which backend the
 # runtime dispatch picked for this host/run.
 #
@@ -77,7 +84,7 @@
 # MIN_PRUNE_SPEEDUP (default 2.0), MIN_PRUNED_FRACTION (default 0.5),
 # MIN_REUSE_SPEEDUP (default 1.03), MIN_ASSIGN_SPEEDUP (default 1.7),
 # MAX_SHARDED_OVERHEAD (default 1.15),
-# MIN_ADMIT_POINTS_PER_SEC (default 2000),
+# MIN_ADMIT_POINTS_PER_SEC (default 2000), MIN_SILHOUETTE_SPEEDUP (default 2.5),
 # SHARDED_ROWS (unset: carry the existing sharded_scaling curve forward;
 # set to e.g. "1000000,10000000" to re-measure it with tools/sharded_scaling),
 # SKIP_BUILD=1 to use an existing binary as-is (gate 0 still applies).
@@ -88,7 +95,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-bench}
 OUT=${OUT:-BENCH_scaling.json}
-FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_'}
+FILTER=${FILTER:-'Assign_|SweepCandidates|FairKM_AllAttributes|FairKM_MiniBatch|FairKM_MultiSeed|FairKM_SnapshotSweep|FairKM_Sweep|MoveDeltaEvaluation|KernelGemv|KernelCatMoments|ActiveKernelBackend|BuildConfig|Online_|Silhouette'}
 MIN_TIME=${MIN_TIME:-0.2}
 MIN_SPEEDUP=${MIN_SPEEDUP:-2.0}
 MIN_SIMD_RATIO=${MIN_SIMD_RATIO:-0.9}
@@ -98,6 +105,7 @@ MIN_REUSE_SPEEDUP=${MIN_REUSE_SPEEDUP:-1.03}
 MIN_ASSIGN_SPEEDUP=${MIN_ASSIGN_SPEEDUP:-1.7}
 MAX_SHARDED_OVERHEAD=${MAX_SHARDED_OVERHEAD:-1.15}
 MIN_ADMIT_POINTS_PER_SEC=${MIN_ADMIT_POINTS_PER_SEC:-2000}
+MIN_SILHOUETTE_SPEEDUP=${MIN_SILHOUETTE_SPEEDUP:-2.5}
 BENCH="$BUILD_DIR/bench/bench_scaling"
 
 if [[ "${SKIP_BUILD:-0}" != "1" ]]; then
@@ -253,6 +261,21 @@ jq -e --argjson min "$MIN_ADMIT_POINTS_PER_SEC" '
   | "online admit throughput: \($pps | round) points/s (drift re-sweep \($resweep * 100 | round / 100) ms/cycle)",
     (if $pps >= $min then "OK: >= \($min) points/s"
      else error("online admit throughput \($pps) below required \($min) points/s") end)
+' "$OUT"
+
+# Gate 9: the dispatched SilhouetteSums kernel must beat the scalar one on
+# the silhouette score itself. A scalar dispatch cannot pass as a speedup:
+# the gate reports why it skipped instead.
+jq -e --argjson min "$MIN_SILHOUETTE_SPEEDUP" '
+  (.benchmarks[] | select(.name == "BM_Silhouette_Scalar") | .cpu_time) as $scalar
+  | (.benchmarks[] | select(.name == "BM_Silhouette_Dispatch") | .cpu_time) as $dispatch
+  | ([.benchmarks[] | select(.name | startswith("BM_ActiveKernelBackend_")) | .name
+      | ltrimstr("BM_ActiveKernelBackend_")] | first // "unknown") as $backend
+  | ($scalar / $dispatch) as $speedup
+  | "silhouette kernel speedup: \($speedup * 100 | round / 100)x (scalar \($scalar) vs \($backend) \($dispatch))",
+    (if $backend == "scalar" then "SKIP: dispatch backend is scalar, no SIMD kernel to gate"
+     elif $speedup >= $min then "OK: >= \($min)x"
+     else error("silhouette kernel speedup \($speedup) below required \($min)x") end)
 ' "$OUT"
 
 echo "wrote $OUT"
