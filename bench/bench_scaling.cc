@@ -11,11 +11,14 @@
 //   * fast incremental deltas vs naive full-objective recomputation,
 //   * FairKM vs K-Means vs ZGYA (hard and soft) at a fixed size,
 //   * single move-delta evaluation cost,
-//   * the silhouette score on the scalar vs dispatched distance kernel.
+//   * the silhouette score on the scalar vs dispatched distance kernel,
+//   * online admit/retire cost vs live row count (flat by design).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -678,16 +681,20 @@ void BM_FairKM_SnapshotSweep_Sharded(benchmark::State& state) {
 }
 BENCHMARK(BM_FairKM_SnapshotSweep_Sharded)->Unit(benchmark::kMillisecond);
 
-// Online engine pair (src/online/): _Admit measures the steady-state cost of
-// the live Eq. 1 insertion path — per admitted point the engine scores all k
-// clusters (distance + fairness insertion delta), appends to the growable
-// store, adopts the row into the state, and re-derives the n-dependent
-// dataset distribution. Each round's ids are retired outside the timed
-// region so the engine holds a steady row count and iterations stay
-// comparable. tools/bench_json.sh gates on the points_per_sec counter
-// (MIN_ADMIT_POINTS_PER_SEC). _DriftResweep measures the full bounded
-// drift-response cycle the supervisor triggers on a regression: canonical
-// Flush rebuild + one budgeted Algorithm-1 sweep + snapshot republish.
+// Online engine benches (src/online/): _Admit measures the steady-state cost
+// of the live Eq. 1 insertion path — per admitted point the engine scores all
+// k clusters (distance + fairness insertion delta), appends to the growable
+// store and adopts the row into the state; per batch it refreshes the
+// dataset distribution from its maintained counts, the moment tables, and
+// the pruner's table sizes, none of which passes over the live rows. Each
+// round's ids are retired outside the timed region so the engine holds a
+// steady row count and iterations stay comparable. tools/bench_json.sh gates
+// on the points_per_sec counter (MIN_ADMIT_POINTS_PER_SEC). _AdmitScaling
+// times admit AND retire over a steady window at 2k to 256k live rows (gate
+// 10: the per-batch cost must not grow with n). _DriftResweep measures the
+// full bounded drift-response cycle the supervisor triggers on a
+// regression: canonical Flush rebuild + one budgeted Algorithm-1 sweep +
+// snapshot republish.
 constexpr size_t kOnlineN = 4096;
 constexpr size_t kOnlineD = 64;
 constexpr size_t kOnlineBatch = 64;
@@ -725,11 +732,11 @@ data::SensitiveView OnlineAdmitView(const data::SensitiveView& training,
   return view;
 }
 
-data::Matrix OnlineAdmitBatch(size_t rows, Rng* rng) {
-  data::Matrix batch(rows, kOnlineD);
+data::Matrix OnlineAdmitBatch(size_t rows, Rng* rng, size_t d = kOnlineD) {
+  data::Matrix batch(rows, d);
   for (size_t i = 0; i < rows; ++i) {
     double* row = batch.Row(i);
-    for (size_t j = 0; j < kOnlineD; ++j) {
+    for (size_t j = 0; j < d; ++j) {
       row[j] = rng->Bernoulli(0.2) ? rng->UniformDouble(0.0, 2.0) : 0.0;
     }
   }
@@ -770,6 +777,69 @@ void BM_Online_Admit(benchmark::State& state) {
       admit_seconds > 0.0 ? static_cast<double>(points) / admit_seconds : 0.0;
 }
 BENCHMARK(BM_Online_Admit)->Unit(benchmark::kMillisecond);
+
+// One engine of the scaling bench, alive across the benchmark library's
+// repeated calls for the same row count, with its window of live ids in
+// admission order. d = 16 keeps the 256k-row engine near 100 MB.
+constexpr size_t kOnlineScalingD = 16;
+
+struct OnlineWindow {
+  size_t rows = 0;
+  std::unique_ptr<online::OnlineFairKM> engine;
+  std::deque<uint64_t> ids;
+};
+
+OnlineWindow& OnlineWindowOf(size_t rows) {
+  static OnlineWindow window;
+  if (window.rows != rows) {
+    window.engine.reset();  // One engine at a time.
+    const auto& world = SyntheticWorld(rows, kOnlineScalingD);
+    window.engine = online::OnlineFairKM::Create(world.features,
+                                                 world.sensitive,
+                                                 OnlineBenchOptions(),
+                                                 /*seed=*/1)
+                        .ValueOrDie();
+    const std::vector<uint64_t> live = window.engine->LiveIds();
+    window.ids.assign(live.begin(), live.end());
+    window.rows = rows;
+  }
+  return window;
+}
+
+void BM_Online_AdmitScaling(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  OnlineWindow& window = OnlineWindowOf(rows);
+  const auto& world = SyntheticWorld(rows, kOnlineScalingD);
+  Rng rng(0x0A3D);
+  const data::Matrix batch =
+      OnlineAdmitBatch(kOnlineBatch, &rng, kOnlineScalingD);
+  const data::SensitiveView view =
+      OnlineAdmitView(world.sensitive, kOnlineBatch, &rng);
+  std::vector<uint64_t> oldest(kOnlineBatch);
+  size_t points = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    std::copy(window.ids.begin(), window.ids.begin() + kOnlineBatch,
+              oldest.begin());
+    Timer timer;
+    auto ids = window.engine->Admit(batch, &view);
+    window.engine->Retire(oldest).Abort();
+    seconds += timer.ElapsedSeconds();
+    const std::vector<uint64_t>& admitted = ids.ValueOrDie();
+    window.ids.erase(window.ids.begin(), window.ids.begin() + kOnlineBatch);
+    window.ids.insert(window.ids.end(), admitted.begin(), admitted.end());
+    points += admitted.size();
+  }
+  state.counters["points_per_sec"] =
+      seconds > 0.0 ? static_cast<double>(points) / seconds : 0.0;
+  state.counters["live_rows"] =
+      static_cast<double>(window.engine->Stats().live_rows);
+}
+BENCHMARK(BM_Online_AdmitScaling)
+    ->Arg(2048)
+    ->Arg(32768)
+    ->Arg(262144)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Online_DriftResweep(benchmark::State& state) {
   online::OnlineFairKM& engine = OnlineBenchEngine();

@@ -11,13 +11,6 @@ namespace core {
 
 namespace {
 
-// Drift charged when a previously empty effective cluster gains its first
-// member: the new centroid can be anywhere, so every stale lower bound that
-// predates the refill must collapse to zero. Large enough to dwarf any real
-// distance, small enough that repeated bumps never overflow to infinity
-// (infinities would poison the drift-delta subtractions with NaNs).
-constexpr double kEmptyRefillDrift = 1e30;
-
 // Full O(n) passes over the point store (norm cache, initial aggregates,
 // scratch SSE) stream in chunks of roughly this many bytes and evict behind
 // themselves, so a memory-mapped store never pages fully resident just to
@@ -470,6 +463,7 @@ void FairKMState::EnableBoundTracking(bool enable) {
   }
   drift_.assign(static_cast<size_t>(k_), 0.0);
   max_step_sum_ = 0.0;
+  ++bound_epoch_;
   const size_t num_cat = sensitive_->categorical.size();
   cat_rem_delta_.resize(num_cat);
   cat_ins_delta_.resize(num_cat);
@@ -889,10 +883,9 @@ void FairKMState::Move(size_t i, int to) {
       step_to = std::sqrt(dist) / static_cast<double>(c_to + 1);
       AccumulateDrift(to, step_to);
     } else {
-      // A refilled empty cluster materializes a centroid anywhere; collapse
-      // every stale lower bound that predates it.
-      step_to = kEmptyRefillDrift;
-      AccumulateDrift(to, step_to);
+      // A refilled empty cluster materializes a centroid anywhere: void
+      // every bound instead of charging a drift no finite value covers.
+      ++bound_epoch_;
     }
     AccumulateMaxStep(std::max(step_from, step_to));
   }
@@ -1032,7 +1025,7 @@ void FairKMState::RefreshPrototypes() {
       if (new_cnt == 0) continue;  // No centroid to target; addf covers it.
       double step = 0.0;
       if (old_cnt == 0) {
-        step = kEmptyRefillDrift;
+        ++bound_epoch_;  // Refilled: see Move.
       } else {
         const double* old_sums = proto_sums_.data() + ci * stride_;
         const double* new_sums = sums_.data() + ci * stride_;

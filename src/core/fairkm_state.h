@@ -46,7 +46,9 @@
 //     effective centroid — live, or the prototype snapshot in mini-batch
 //     mode — has moved since the start), fed by exact per-move displacement
 //     ||x - mu|| / (|C| -+ 1) in live mode and by a full old-vs-new centroid
-//     comparison at every RefreshPrototypes in snapshot mode;
+//     comparison at every RefreshPrototypes in snapshot mode (the refill of
+//     an empty cluster, which no finite drift covers, advances bound_epoch()
+//     instead);
 //   * monotone count-based fairness move bounds: per (attribute, cluster,
 //     value) removal/insertion delta tables (the CatDeltaBounds kernel,
 //     recomputed only for clusters whose group counts moved) whose row
@@ -170,9 +172,8 @@ class FairKMState {
   /// statistics after the caller updated the sensitive view's
   /// dataset_fractions / dataset_mean for a changed membership: the Q2
   /// constants, every (attribute, cluster) U2/UQ moment, and — when bound
-  /// tracking is on — every bound table (fresh, zero drift; per-point pruner
-  /// bounds must be invalidated by the caller, see
-  /// FairKMSolver::SyncStoreGrowth).
+  /// tracking is on — every bound table (fresh, zero drift; the
+  /// bound_epoch() bump voids every per-point pruner bound).
   /// O(k sum_S m_S).
   void RefreshDatasetStats();
 
@@ -297,6 +298,12 @@ class FairKMState {
   /// of the cumulative per-cluster drifts would NOT be: a cluster below the
   /// max can move without raising it.)
   double cumulative_max_step() const { return max_step_sum_; }
+  /// \brief Counts the events that void every per-point bound at once: a
+  /// bound-tracking (re)start, which zeroes the drift accumulators, and the
+  /// refill of an empty effective cluster, whose new centroid can be
+  /// anywhere. SweepPruner treats bounds refreshed under an older count as
+  /// stale, so neither event needs a drift charge.
+  uint64_t bound_epoch() const { return bound_epoch_; }
 
   /// \brief Lower bound (un-scaled by lambda) on the fairness-term insertion
   /// cost of moving any point into any cluster other than `from`, from the
@@ -414,6 +421,7 @@ class FairKMState {
   bool track_bounds_ = false;
   std::vector<double> drift_;            // Cumulative centroid drift.
   double max_step_sum_ = 0.0;            // Sum of per-event max steps.
+  uint64_t bound_epoch_ = 0;             // See bound_epoch().
   // Per-(attribute, cluster, value) fairness move-delta tables
   // (cat_*_delta_[a][c * m_a + v], weighted by w_a * norm_a), the
   // CatDeltaBounds kernel output.

@@ -59,6 +59,15 @@ SweepPruner::SweepPruner(const FairKMState* state, double lambda,
   fresh_.assign(n, 0);
 }
 
+void SweepPruner::Resize(size_t n) {
+  lb0_.resize(n * k_);
+  drift_ref_.resize(n * k_);
+  lbmin0_.resize(n);
+  max_drift_ref_.resize(n);
+  fresh_.resize(n, 0);
+  Reset();
+}
+
 double SweepPruner::UpperBound(size_t i) const {
   const size_t own = static_cast<size_t>(state_->cluster_of(i));
   const size_t idx = i * k_ + own;
@@ -106,7 +115,7 @@ double SweepPruner::GateLowerBound(size_t i) const {
 }
 
 bool SweepPruner::ShouldPrune(size_t i) const {
-  if (fresh_[i] == 0) return false;
+  if (!IsFresh(i)) return false;
   // Stage 1: the O(1) fully-decoupled gate (cluster-level fairness bounds +
   // the global distance floor). Catches the fairness-balanced steady state
   // cheaply.
@@ -153,19 +162,20 @@ void SweepPruner::Refresh(size_t i, const double* dists) {
   }
   lbmin0_[i] = k_ > 1 ? min_other : 0.0;
   max_drift_ref_[i] = state_->cumulative_max_step();
-  fresh_[i] = 1;
+  fresh_[i] = Epoch();
 }
 
 void SweepPruner::Invalidate(size_t i) { fresh_[i] = 0; }
 
-void SweepPruner::Reset() { std::fill(fresh_.begin(), fresh_.end(), 0); }
+void SweepPruner::Reset() { ++epoch_; }
 
 void SweepPruner::SaveCheckpoint(Checkpoint* out) const {
   out->lb0 = lb0_;
   out->drift_ref = drift_ref_;
   out->lbmin0 = lbmin0_;
   out->max_drift_ref = max_drift_ref_;
-  out->fresh = fresh_;
+  out->fresh.resize(fresh_.size());
+  for (size_t i = 0; i < fresh_.size(); ++i) out->fresh[i] = IsFresh(i);
 }
 
 Status SweepPruner::RestoreCheckpoint(const Checkpoint& cp) {
@@ -177,7 +187,9 @@ Status SweepPruner::RestoreCheckpoint(const Checkpoint& cp) {
   drift_ref_ = cp.drift_ref;
   lbmin0_ = cp.lbmin0;
   max_drift_ref_ = cp.max_drift_ref;
-  fresh_ = cp.fresh;
+  for (size_t i = 0; i < fresh_.size(); ++i) {
+    fresh_[i] = cp.fresh[i] != 0 ? Epoch() : 0;
+  }
   return Status::OK();
 }
 

@@ -86,10 +86,17 @@ class SweepPruner {
   /// \brief Marks point i's bounds stale (call after the point moved).
   void Invalidate(size_t i);
 
-  /// \brief Marks every point stale, reusing the allocations — the per-Init
-  /// reuse path of core::FairKMSolver (stale entries are never read, so no
-  /// other slot needs clearing).
+  /// \brief Marks every point stale in O(1), reusing the allocations — the
+  /// per-Init reuse path of core::FairKMSolver (stale entries are never
+  /// read, so no slot needs clearing). Bounds also go stale on their own
+  /// whenever the state's bound_epoch() advances.
   void Reset();
+
+  /// \brief Resizes the bound tables to `n` rows in place (capacity kept,
+  /// only rows past the old size are touched) and marks every row stale —
+  /// the per-batch path of FairKMSolver::SyncStoreGrowth after an online
+  /// admit or retire. O(|n - old n| * k).
+  void Resize(size_t n);
 
   /// \brief Updates the gate's lambda (e.g. a lambda sweep reusing one
   /// solver). The stored distance bounds are lambda-independent, so they
@@ -107,7 +114,7 @@ class SweepPruner {
   Status RestoreCheckpoint(const Checkpoint& cp);
 
   // Introspection for the testlib invariant checks.
-  bool IsFresh(size_t i) const { return fresh_[i] != 0; }
+  bool IsFresh(size_t i) const { return fresh_[i] == Epoch(); }
   /// \brief Current upper bound on d(i, mu_{cluster_of(i)}).
   double UpperBound(size_t i) const;
   /// \brief Current lower bound on min_{c != cluster_of(i)} d(i, mu_c)
@@ -126,6 +133,9 @@ class SweepPruner {
  private:
   // Shared by both gate stages (one definition of the removal factor).
   double RemovalUpperBound(size_t i, int from) const;
+  // The stamp a row refreshed now carries: advances on Reset and on every
+  // event that voids all bounds in the state (FairKMState::bound_epoch).
+  uint64_t Epoch() const { return epoch_ + state_->bound_epoch(); }
 
   const FairKMState* state_;
   double lambda_;
@@ -146,7 +156,10 @@ class SweepPruner {
   std::vector<double> drift_ref_;
   std::vector<double> lbmin0_;
   std::vector<double> max_drift_ref_;
-  std::vector<uint8_t> fresh_;
+  // Row i is fresh iff fresh_[i] == Epoch(); Reset bumps epoch_ instead of
+  // clearing n flags. Epoch() is never 0, so zero-filled rows start stale.
+  std::vector<uint64_t> fresh_;
+  uint64_t epoch_ = 1;
 };
 
 }  // namespace core

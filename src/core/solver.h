@@ -320,7 +320,7 @@ class FairKMSolver {
   /// \brief Re-synchronizes the session after the bound store's
   /// row count changed underneath it (online admit/retire): adopts the new
   /// n, re-hoists the full-sweep batch size (mini-batch sizes are kept),
-  /// rebuilds the pruner over the resized state
+  /// resizes the pruner's bound tables in place
   /// (all per-point bounds restart stale — sound, just unpruned until
   /// refreshed), and clears `converged` so the next Sweep/Run re-certifies
   /// the objective over the new membership. The caller must already have

@@ -66,6 +66,7 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
 
   std::lock_guard<std::mutex> lock(engine->mu_);
   engine->AssignInitialIdsLocked();
+  engine->BuildDistributionLocked();
   engine->baseline_per_point_ =
       engine->solver_->Objective() /
       static_cast<double>(engine->row_ids_.size());
@@ -74,6 +75,19 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
     FAIRKM_RETURN_NOT_OK(engine->CheckpointLocked());
   }
   return engine;
+}
+
+void OnlineFairKM::BuildDistributionLocked() {
+  code_counts_.clear();
+  for (const auto& attr : view_.categorical) {
+    std::vector<int64_t> counts(static_cast<size_t>(attr.cardinality), 0);
+    for (const int32_t code : attr.codes) ++counts[static_cast<size_t>(code)];
+    code_counts_.push_back(std::move(counts));
+  }
+  value_sums_.assign(view_.numeric.size(), ExactSum());
+  for (size_t a = 0; a < view_.numeric.size(); ++a) {
+    for (const double v : view_.numeric[a].values) value_sums_[a].Add(v);
+  }
 }
 
 void OnlineFairKM::AssignInitialIdsLocked() {
@@ -137,9 +151,11 @@ Result<std::vector<uint64_t>> OnlineFairKM::Admit(
     FAIRKM_RETURN_NOT_OK(store_->AppendRow(x, d));
     for (size_t a = 0; a < num_cat; ++a) {
       view_.categorical[a].codes.push_back(codes[a]);
+      ++code_counts_[a][static_cast<size_t>(codes[a])];
     }
     for (size_t a = 0; a < num_num; ++a) {
       view_.numeric[a].values.push_back(values[a]);
+      value_sums_[a].Add(values[a]);
     }
     FAIRKM_RETURN_NOT_OK(
         solver_->mutable_state()->AdmitAppended(best_cluster));
@@ -181,11 +197,15 @@ Status OnlineFairKM::Retire(const std::vector<uint64_t>& ids) {
     FAIRKM_RETURN_NOT_OK(solver_->mutable_state()->RetireSwapped(r));
     FAIRKM_RETURN_NOT_OK(store_->SwapRemoveRow(r));
     const size_t last = row_ids_.size() - 1;
-    for (auto& attr : view_.categorical) {
+    for (size_t a = 0; a < view_.categorical.size(); ++a) {
+      auto& attr = view_.categorical[a];
+      --code_counts_[a][static_cast<size_t>(attr.codes[r])];
       attr.codes[r] = attr.codes[last];
       attr.codes.pop_back();
     }
-    for (auto& attr : view_.numeric) {
+    for (size_t a = 0; a < view_.numeric.size(); ++a) {
+      auto& attr = view_.numeric[a];
+      value_sums_[a].Subtract(attr.values[r]);
       attr.values[r] = attr.values[last];
       attr.values.pop_back();
     }
@@ -201,25 +221,18 @@ Status OnlineFairKM::Retire(const std::vector<uint64_t>& ids) {
 }
 
 void OnlineFairKM::RefreshViewLocked() {
-  // Re-derive the dataset-level distribution exactly the way a from-scratch
-  // load over the surviving rows would: integer counts divided by n, and
-  // numeric sums accumulated in row order 0..n-1 — the oracle's fresh view
-  // must be able to reproduce these doubles bit-for-bit.
+  // The maintained counts and exact sums are what a from-scratch pass over
+  // the surviving rows would produce, in any row order, so these doubles
+  // equal a cold rebuild's bit for bit without rescanning the rows.
   const double n = static_cast<double>(row_ids_.size());
-  for (auto& attr : view_.categorical) {
-    std::vector<size_t> counts(static_cast<size_t>(attr.cardinality), 0);
-    for (const int32_t code : attr.codes) {
-      ++counts[static_cast<size_t>(code)];
-    }
-    for (int s = 0; s < attr.cardinality; ++s) {
-      attr.dataset_fractions[static_cast<size_t>(s)] =
-          static_cast<double>(counts[static_cast<size_t>(s)]) / n;
+  for (size_t a = 0; a < view_.categorical.size(); ++a) {
+    auto& fractions = view_.categorical[a].dataset_fractions;
+    for (size_t s = 0; s < fractions.size(); ++s) {
+      fractions[s] = static_cast<double>(code_counts_[a][s]) / n;
     }
   }
-  for (auto& attr : view_.numeric) {
-    double sum = 0.0;
-    for (const double v : attr.values) sum += v;
-    attr.dataset_mean = sum / n;
+  for (size_t a = 0; a < view_.numeric.size(); ++a) {
+    view_.numeric[a].dataset_mean = value_sums_[a].Round() / n;
   }
 }
 
@@ -238,10 +251,10 @@ Status OnlineFairKM::FlushLocked() {
   cluster::Assignment assignment = solver_->state().assignment();
   FAIRKM_RETURN_NOT_OK(
       solver_->mutable_state()->RebuildFromStore(std::move(assignment)));
-  // The canonical rebuild reset every drift accumulator, so the pruner's
-  // stale per-point bounds would age against the wrong reference; rebuilding
-  // it through the growth sync restarts them all stale (sound, just
-  // unpruned until the next exact evaluation).
+  // The canonical rebuild reset every drift accumulator, so every per-point
+  // pruner bound is stale (sound, just unpruned until the next exact
+  // evaluation); the growth sync re-certifies convergence over the rebuilt
+  // state.
   FAIRKM_RETURN_NOT_OK(solver_->SyncStoreGrowth());
   ++flushes_;
   return Status::OK();
@@ -523,6 +536,7 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Recover(
   }
 
   std::lock_guard<std::mutex> lock(engine->mu_);
+  engine->BuildDistributionLocked();
   engine->row_ids_ = std::move(row_ids);
   engine->id_to_row_.reserve(n);
   for (size_t i = 0; i < n; ++i) {

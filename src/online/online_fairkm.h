@@ -20,10 +20,20 @@
 //     the swap-with-last removals of PointStore::SwapRemoveRow, so retiring
 //     never rebuilds state — aggregates are decremented (RetireSwapped) and
 //     the last row slides into the hole.
-//   * After every admit/retire batch the engine re-derives the dataset-level
-//     fairness distribution (fractions/means are n-dependent), refreshes the
-//     moment tables and pruner bounds, and re-synchronizes the solver's
-//     sweep machinery with the new row count (SyncStoreGrowth).
+//   * After every admit/retire batch the engine refreshes the dataset-level
+//     fairness distribution (fractions and means depend on n) from an
+//     integer count per (attribute, value) and an exact sum per numeric
+//     attribute, both updated row by row; refreshes the moment tables in
+//     O(k sum_S |S|); and re-synchronizes the solver with the new row count
+//     (SyncStoreGrowth resizes the pruner's tables in place, every row
+//     stale). None of it passes over the live rows: a batch of b points
+//     costs O(b k (d + |S|)) to score and adopt plus O(k sum_S |S|).
+//   * Numeric means are exact: after any admit or retire, dataset_mean is
+//     the correctly rounded sum of the live values (common ExactSum) divided
+//     by n — the same double for every admission order and the same double
+//     a from-scratch pass over the survivors computes. Create and Recover
+//     keep the distribution they are handed until the first membership
+//     change.
 //   * Drift monitor: the maintained per-point objective is compared against
 //     the baseline recorded at the last (re-)train. A regression past
 //     DriftPolicy::regression_tolerance — or a non-finite reading, injected
@@ -46,8 +56,10 @@
 // Consistency anchor (tested property): after ANY admit/retire sequence
 // followed by Flush(), the fairness moments, counts, and objective are
 // bit-identical to a from-scratch FairKMState::Create over the surviving
-// points in engine row order — the incremental path can drift numerically
-// (floating-point summation order), the flushed path cannot.
+// points in engine row order — the incremental cluster aggregates can drift
+// numerically (floating-point summation order), the flushed ones cannot.
+// The dataset distribution does not drift at all: from the first admit or
+// retire on, it is exact at every step.
 //
 // Threading: one internal mutex serializes every mutating call (Admit /
 // Retire / Flush / TriggerResweep / Checkpoint) and the stats reads; any
@@ -65,6 +77,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stats.h"
 #include "common/status.h"
 #include "core/solver.h"
 #include "data/matrix.h"
@@ -148,7 +161,8 @@ class OnlineFairKM {
 
   /// \brief Retires previously admitted points by id. The batch is
   /// validated up front (unknown or duplicate ids, or retiring every live
-  /// point, reject the whole call with no state change). O(d + |S|) per id.
+  /// point, reject the whole call with no state change). O(d + |S|) per id,
+  /// plus the O(k sum_S |S|) per-batch refresh.
   Status Retire(const std::vector<uint64_t>& ids);
 
   /// \brief Canonical rebuild: every aggregate, moment table and bound is
@@ -194,6 +208,7 @@ class OnlineFairKM {
 
   // All Locked helpers require mu_ held.
   void AssignInitialIdsLocked();
+  void BuildDistributionLocked();
   void RefreshViewLocked();
   Status SyncAfterMembershipChangeLocked();
   Status FlushLocked();
@@ -215,6 +230,13 @@ class OnlineFairKM {
   std::vector<uint64_t> row_ids_;
   std::unordered_map<uint64_t, size_t> id_to_row_;
   uint64_t next_id_ = 1;
+
+  // The dataset-level distribution, kept per admitted/retired row so a batch
+  // never rescans the live rows: code_counts_[a][s] counts the rows with
+  // value s of categorical attribute a; value_sums_[a] is the exact sum of
+  // numeric attribute a.
+  std::vector<std::vector<int64_t>> code_counts_;
+  std::vector<ExactSum> value_sums_;
 
   uint64_t generation_ = 0;
   double baseline_per_point_ = 0.0;

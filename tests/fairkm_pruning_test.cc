@@ -249,6 +249,130 @@ INSTANTIATE_TEST_SUITE_P(Modes, PruningInvariantTest, ::testing::Values(false, t
                            return info.param ? "snapshot" : "live";
                          });
 
+// SweepPruner::Resize (the online admit/retire path) keeps the old bound
+// values in place but must leave every row stale: after growing or shrinking
+// the tables, no row prunes until an exact evaluation refreshes it.
+TEST(FairKMPruningTest, ResizeLeavesEveryRowStaleUntilRefreshed) {
+  const SeededWorld world = MakeSeededWorld(29);
+  auto state = core::FairKMState::Create(&world.points, &world.sensitive,
+                                         world.k, world.assignment)
+                   .ValueOrDie();
+  state.EnableBoundTracking(true);
+  const double lambda = core::SuggestLambda(state.num_rows(), world.k);
+  const double min_improvement = 1e-9;
+  core::SweepPruner pruner(&state, lambda, min_improvement);
+  std::vector<double> km(static_cast<size_t>(world.k));
+  std::vector<double> dists(static_cast<size_t>(world.k));
+  const size_t n = state.num_rows();
+  // Settle with sweep-like passes, then refresh every row exactly.
+  const auto sweep = [&](bool move) {
+    for (size_t i = 0; i < n; ++i) {
+      if (move && pruner.ShouldPrune(i)) continue;
+      state.DeltaKMeansAllClusters(i, km.data(), dists.data());
+      pruner.Refresh(i, dists.data());
+      int best = state.cluster_of(i);
+      double best_delta = -min_improvement;
+      for (int c = 0; c < world.k; ++c) {
+        if (c == state.cluster_of(i)) continue;
+        const double delta =
+            km[static_cast<size_t>(c)] + lambda * state.DeltaFairness(i, c);
+        if (delta < best_delta) {
+          best_delta = delta;
+          best = c;
+        }
+      }
+      if (move && best != state.cluster_of(i)) {
+        state.Move(i, best);
+        pruner.Invalidate(i);
+      }
+    }
+  };
+  for (int round = 0; round < 6; ++round) sweep(/*move=*/true);
+  sweep(/*move=*/false);
+  const auto pruned_rows = [&](size_t rows) {
+    size_t pruned = 0;
+    for (size_t i = 0; i < rows; ++i) pruned += pruner.ShouldPrune(i) ? 1 : 0;
+    return pruned;
+  };
+  ASSERT_GT(pruned_rows(n), 0u) << "the settled world must prune some rows";
+
+  for (const size_t rows : {n + 7, n, n - 5}) {
+    SCOPED_TRACE(::testing::Message() << "resized to " << rows);
+    pruner.Resize(rows);
+    for (size_t i = 0; i < rows; ++i) EXPECT_FALSE(pruner.IsFresh(i));
+    EXPECT_EQ(pruned_rows(rows), 0u);
+  }
+  // Back at the state's size, a refresh makes rows prunable again.
+  pruner.Resize(n);
+  sweep(/*move=*/false);
+  EXPECT_GT(pruned_rows(n), 0u);
+  EXPECT_TRUE(PrunerBoundsHold(state, pruner, lambda, min_improvement));
+}
+
+// Emptying a cluster and refilling it moves its centroid anywhere. That
+// must void every bound refreshed before the refill, and must leave the drift
+// accumulators exact, so that later centroid steps still age the bounds.
+class PruningRefillTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(PruningRefillTest, RefillVoidsBoundsAndLaterDriftStillCounts) {
+  const bool snapshot = GetParam();
+  const SeededWorld world = MakeSeededWorld(17);
+  ASSERT_GE(world.k, 3);
+  auto state = core::FairKMState::Create(&world.points, &world.sensitive,
+                                         world.k, world.assignment)
+                   .ValueOrDie();
+  state.EnablePrototypeSnapshot(snapshot);
+  state.EnableBoundTracking(true);
+  const double lambda = core::SuggestLambda(state.num_rows(), world.k);
+  core::SweepPruner pruner(&state, lambda, 1e-9);
+  std::vector<double> km(static_cast<size_t>(world.k));
+  std::vector<double> dists(static_cast<size_t>(world.k));
+  const size_t n = state.num_rows();
+  const auto refresh_all = [&] {
+    for (size_t i = 0; i < n; ++i) {
+      state.DeltaKMeansAllClusters(i, km.data(), dists.data());
+      pruner.Refresh(i, dists.data());
+    }
+  };
+  const auto move = [&](size_t i, int to) {
+    state.Move(i, to);
+    pruner.Invalidate(i);
+    if (snapshot) state.RefreshPrototypes();
+  };
+  refresh_all();
+
+  // Empty cluster 2 into cluster 0, then refill it with one point of 1.
+  size_t refill = n;
+  for (size_t i = 0; i < n; ++i) {
+    if (state.cluster_of(i) == 2) move(i, 0);
+    if (state.cluster_of(i) == 1 && refill == n) refill = i;
+  }
+  ASSERT_EQ(state.effective_count(2), 0u);
+  ASSERT_LT(refill, n);
+  const uint64_t epoch = state.bound_epoch();
+  move(refill, 2);
+  EXPECT_GT(state.bound_epoch(), epoch);
+  for (size_t i = 0; i < n; ++i) EXPECT_FALSE(pruner.IsFresh(i)) << i;
+
+  // After the refill, an ordinary move still charges visible drift.
+  refresh_all();
+  size_t mover = n;
+  for (size_t i = 0; i < n && mover == n; ++i) {
+    if (state.cluster_of(i) == 0) mover = i;
+  }
+  ASSERT_LT(mover, n);
+  const double drift_before = state.cluster_drift(2);
+  move(mover, 2);
+  EXPECT_GT(state.cluster_drift(2), drift_before);
+  EXPECT_LT(state.cluster_drift(2), 1e6);
+  EXPECT_TRUE(PrunerBoundsHold(state, pruner, lambda, 1e-9));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, PruningRefillTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "snapshot" : "live";
+                         });
+
 // The cached objective terms behind the per-sweep history must agree with
 // the scratch recomputation they replaced.
 TEST(FairKMPruningTest, CachedObjectiveTermsMatchScratch) {

@@ -1,13 +1,19 @@
 // Online fairness engine (src/online/): the batch-rebuild oracle (any
 // admit/retire sequence + Flush() is bit-identical to a from-scratch state
-// over the surviving points), the drift monitor end to end (an injected
-// non-finite objective reading triggers exactly one bounded re-sweep and a
-// fresh snapshot generation), durable checkpoint/recover round-trips, and
-// the whole-batch admit/retire validation contract.
+// over the surviving points), the order-independent dataset distribution
+// (integer counts, exactly rounded numeric means), pruned == unpruned under
+// churn, the drift monitor end to end (an injected non-finite objective
+// reading triggers exactly one bounded re-sweep and a fresh snapshot
+// generation), durable checkpoint/recover round-trips, and the whole-batch
+// admit/retire validation contract.
 
 #include "online/online_fairkm.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <deque>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -22,6 +28,7 @@
 #include "core/fairkm_state.h"
 #include "serve/assign_service.h"
 #include "test_util.h"
+#include "testlib/brute_force.h"
 #include "testlib/worlds.h"
 
 namespace fairkm {
@@ -30,6 +37,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
+using testutil::BruteForceExactSum;
 using testutil::MakeBlobs;
 using testutil::MakeCategorical;
 using testutil::MakeNumeric;
@@ -98,6 +106,61 @@ data::SensitiveView MakeAdmitView(const data::SensitiveView& training,
   return view;
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The from-scratch dataset mean of a numeric attribute: the exactly rounded
+// sum of the values, taken in a shuffled order so no row order is
+// privileged, divided by n.
+double ScratchMean(std::vector<double> values, Rng* rng) {
+  rng->Shuffle(&values);
+  return BruteForceExactSum(values) / static_cast<double>(values.size());
+}
+
+// The dataset-level distribution a cold load of `view`'s rows computes:
+// integer counts over n, and exactly rounded means.
+data::SensitiveView ScratchDistribution(const data::SensitiveView& view) {
+  std::vector<data::CategoricalSensitive> cats;
+  for (const auto& attr : view.categorical) {
+    data::CategoricalSensitive fresh =
+        MakeCategorical(attr.codes, attr.cardinality, attr.name);
+    fresh.weight = attr.weight;
+    cats.push_back(std::move(fresh));
+  }
+  data::SensitiveView fresh_view = MakeView(std::move(cats));
+  Rng shuffle(0x5EED);
+  for (const auto& attr : view.numeric) {
+    data::NumericSensitive fresh = MakeNumeric(attr.values, attr.name);
+    fresh.weight = attr.weight;
+    fresh.dataset_mean = ScratchMean(attr.values, &shuffle);
+    fresh_view.numeric.push_back(std::move(fresh));
+  }
+  return fresh_view;
+}
+
+// Create adopts the distribution its caller passes, and every admit or
+// retire replaces it with the exact one. A world the oracle checks before
+// any membership change therefore carries the from-scratch distribution.
+SeededWorld MakeScratchWorld(uint64_t seed) {
+  SeededWorld world = MakeSeededWorld(seed);
+  world.sensitive = ScratchDistribution(world.sensitive);
+  return world;
+}
+
+// A seeded world whose numeric attribute opens with values a left-to-right
+// sum gets wrong (1e16 + 1 - 1e16 is 0 that way, exactly 1), carrying the
+// from-scratch distribution.
+SeededWorld MakeCancellingWorld(uint64_t seed) {
+  SeededWorld world = MakeSeededWorld(seed);
+  std::vector<double>& values = world.sensitive.numeric.at(0).values;
+  values[0] = 1e16;
+  values[1] = 1.0;
+  values[2] = -1e16;
+  world.sensitive = ScratchDistribution(world.sensitive);
+  return world;
+}
+
 // The oracle: Flush(), then rebuild a FRESH FairKMState over copies of the
 // surviving rows / raw sensitive codes / current assignment — exactly what a
 // from-scratch load of the surviving dataset would construct — and demand
@@ -112,19 +175,7 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
   // Rebuild the dataset-level distribution from the raw codes/values the way
   // a cold load would; the engine's incrementally refreshed fractions/means
   // must already equal these doubles bit-for-bit.
-  std::vector<data::CategoricalSensitive> cats;
-  for (const auto& attr : survived.categorical) {
-    data::CategoricalSensitive fresh =
-        MakeCategorical(attr.codes, attr.cardinality, attr.name);
-    fresh.weight = attr.weight;
-    cats.push_back(std::move(fresh));
-  }
-  data::SensitiveView fresh_view = MakeView(std::move(cats));
-  for (const auto& attr : survived.numeric) {
-    data::NumericSensitive fresh = MakeNumeric(attr.values, attr.name);
-    fresh.weight = attr.weight;
-    fresh_view.numeric.push_back(std::move(fresh));
-  }
+  data::SensitiveView fresh_view = ScratchDistribution(survived);
   for (size_t a = 0; a < survived.categorical.size(); ++a) {
     for (size_t s = 0; s < survived.categorical[a].dataset_fractions.size();
          ++s) {
@@ -134,9 +185,11 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
     }
   }
   for (size_t a = 0; a < survived.numeric.size(); ++a) {
-    EXPECT_EQ(survived.numeric[a].dataset_mean,
-              fresh_view.numeric[a].dataset_mean)
-        << "numeric mean drifted: attribute " << a;
+    EXPECT_TRUE(SameBits(survived.numeric[a].dataset_mean,
+                         fresh_view.numeric[a].dataset_mean))
+        << "numeric mean drifted: attribute " << a << ": "
+        << survived.numeric[a].dataset_mean << " vs "
+        << fresh_view.numeric[a].dataset_mean;
   }
 
   auto fresh_result = core::FairKMState::Create(
@@ -402,7 +455,7 @@ TEST_F(OnlineRecoveryTest, CheckpointRecoverRoundTripsTheEngine) {
 }
 
 TEST_F(OnlineRecoveryTest, LostSolverFileFallsBackToWarmStartRebuild) {
-  const SeededWorld world = MakeSeededWorld(37);
+  const SeededWorld world = MakeScratchWorld(37);
   OnlineOptions options;
   options.solver.k = world.k;
   options.solver.lambda = 60.0;
@@ -425,12 +478,209 @@ TEST_F(OnlineRecoveryTest, LostSolverFileFallsBackToWarmStartRebuild) {
   ExpectOracleEquality(twin.get());
 }
 
+// Recover rebuilds the maintained counts and sums from the checkpointed
+// rows: one admit after recovery must leave the from-scratch distribution.
+TEST_F(OnlineRecoveryTest, RecoverThenAdmitMatchesScratchDistribution) {
+  const SeededWorld world = MakeCancellingWorld(43);
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  options.drift.regression_tolerance = 1e300;
+  options.checkpoint_dir = dir_.string();
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/4);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+  Rng rng(47);
+  const int dim = static_cast<int>(world.points.cols());
+  data::SensitiveView sv = MakeAdmitView(world.sensitive, 5, &rng);
+  sv.numeric[0].values = {-1e16, 0.1, 1e16, 3.0, 0.7};
+  ASSERT_TRUE(engine->Admit(MakeBlobs(1, 5, dim, &rng), &sv).ok());
+  const std::vector<uint64_t> live = engine->LiveIds();
+  ASSERT_TRUE(engine->Retire({live[1], live[6]}).ok());
+  ASSERT_TRUE(engine->Checkpoint().ok());
+  engine.reset();
+
+  auto recovered = OnlineFairKM::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  std::unique_ptr<OnlineFairKM> twin = std::move(recovered).ValueOrDie();
+  data::SensitiveView one = MakeAdmitView(world.sensitive, 1, &rng);
+  one.numeric[0].values = {0.3};
+  ASSERT_TRUE(twin->Admit(MakeBlobs(1, 1, dim, &rng), &one).ok());
+
+  const data::SensitiveView live_view = twin->SurvivingSensitive();
+  const data::SensitiveView scratch = ScratchDistribution(live_view);
+  for (size_t a = 0; a < live_view.categorical.size(); ++a) {
+    EXPECT_EQ(live_view.categorical[a].dataset_fractions,
+              scratch.categorical[a].dataset_fractions)
+        << "attribute " << a;
+  }
+  for (size_t a = 0; a < live_view.numeric.size(); ++a) {
+    EXPECT_TRUE(SameBits(live_view.numeric[a].dataset_mean,
+                         scratch.numeric[a].dataset_mean))
+        << live_view.numeric[a].dataset_mean << " vs "
+        << scratch.numeric[a].dataset_mean;
+  }
+}
+
 TEST_F(OnlineRecoveryTest, MissingEngineFileIsAnError) {
   OnlineOptions options;
   options.solver.k = 3;
   options.checkpoint_dir = (dir_ / "never_written").string();
   auto recovered = OnlineFairKM::Recover(options);
   EXPECT_FALSE(recovered.ok());
+}
+
+OnlineOptions QuietOptions(const SeededWorld& world) {
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  // The cancelling values put the fairness term near 1e30: keep the drift
+  // monitor out of these tests.
+  options.drift.regression_tolerance = 1e300;
+  return options;
+}
+
+// Values whose left-to-right sum depends on the order they arrive in.
+const std::vector<double> kCancellingBatch = {1e16, 1.0,   -1e16, 0.1,
+                                              0.7,  -0.3,  3e-17, 2.5};
+
+// The dataset mean is the exactly rounded mean of the live values: admitting
+// the same rows in another order leaves the same double, to the bit.
+TEST(OnlineNumericMean, AdmitOrderDoesNotChangeTheMean) {
+  const SeededWorld world = MakeCancellingWorld(83);
+  const size_t rows = kCancellingBatch.size();
+  Rng rng(89);
+  const data::Matrix points =
+      MakeBlobs(1, static_cast<int>(rows), static_cast<int>(world.points.cols()),
+                &rng);
+  data::SensitiveView view = MakeAdmitView(world.sensitive, rows, &rng);
+  view.numeric[0].values = kCancellingBatch;
+  // The same rows, last first.
+  data::Matrix reversed(rows, points.cols());
+  data::SensitiveView reversed_view = view;
+  for (size_t i = 0; i < rows; ++i) {
+    std::copy(points.Row(rows - 1 - i), points.Row(rows - 1 - i) + points.cols(),
+              reversed.Row(i));
+  }
+  for (auto& attr : reversed_view.categorical) {
+    std::reverse(attr.codes.begin(), attr.codes.end());
+  }
+  for (auto& attr : reversed_view.numeric) {
+    std::reverse(attr.values.begin(), attr.values.end());
+  }
+
+  double means[2];
+  for (int order = 0; order < 2; ++order) {
+    auto created = OnlineFairKM::Create(world.points, world.sensitive,
+                                        QuietOptions(world), /*seed=*/2);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+    ASSERT_TRUE(order == 0 ? engine->Admit(points, &view).ok()
+                           : engine->Admit(reversed, &reversed_view).ok());
+    means[order] = engine->SurvivingSensitive().numeric[0].dataset_mean;
+  }
+  EXPECT_TRUE(SameBits(means[0], means[1])) << means[0] << " vs " << means[1];
+
+  std::vector<double> all = world.sensitive.numeric[0].values;
+  all.insert(all.end(), kCancellingBatch.begin(), kCancellingBatch.end());
+  Rng shuffle(91);
+  const double expected = ScratchMean(all, &shuffle);
+  EXPECT_TRUE(SameBits(means[0], expected)) << means[0] << " vs " << expected;
+}
+
+// Admitting rows and retiring the same rows leaves the mean the initial rows
+// had, to the bit.
+TEST(OnlineNumericMean, AdmitThenRetireRestoresTheExactMean) {
+  const SeededWorld world = MakeCancellingWorld(97);
+  auto created = OnlineFairKM::Create(world.points, world.sensitive,
+                                      QuietOptions(world), /*seed=*/3);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+  const size_t rows = kCancellingBatch.size();
+  Rng rng(101);
+  data::SensitiveView view = MakeAdmitView(world.sensitive, rows, &rng);
+  view.numeric[0].values = kCancellingBatch;
+  auto ids = engine->Admit(
+      MakeBlobs(1, static_cast<int>(rows),
+                static_cast<int>(world.points.cols()), &rng),
+      &view);
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  ASSERT_TRUE(engine->Retire(ids.ValueOrDie()).ok());
+  const double mean = engine->SurvivingSensitive().numeric[0].dataset_mean;
+  EXPECT_TRUE(SameBits(mean, world.sensitive.numeric[0].dataset_mean))
+      << mean << " vs " << world.sensitive.numeric[0].dataset_mean;
+}
+
+// The pruner's tables are resized in place on every admit and retire. Under
+// a churn window that replaces the initial rows twice over, with drift
+// re-sweeps in between and a forced one at the end, the pruned engine must
+// take exactly the unpruned engine's assignments and objectives.
+TEST(OnlinePruning, ChurnWindowPrunedMatchesUnpruned) {
+  ::unsetenv("FAIRKM_DISABLE_PRUNING");  // Both sides of the comparison.
+  const SeededWorld world = MakeSeededWorld(107);
+  const size_t initial = world.points.rows();
+  const int dim = static_cast<int>(world.points.cols());
+  constexpr size_t kBatch = 6;
+  for (const size_t minibatch : {size_t{0}, size_t{16}}) {
+    SCOPED_TRACE(::testing::Message() << "minibatch " << minibatch);
+    std::unique_ptr<OnlineFairKM> engines[2];
+    for (int pruned = 0; pruned < 2; ++pruned) {
+      OnlineOptions options;
+      options.solver.k = world.k;
+      options.solver.lambda = 60.0;
+      options.solver.minibatch_size = static_cast<int>(minibatch);
+      options.solver.enable_pruning = pruned == 1;
+      options.drift.regression_tolerance = 0.02;
+      options.drift.resweep_max_sweeps = 3;
+      auto created = OnlineFairKM::Create(world.points, world.sensitive,
+                                          options, /*seed=*/5);
+      ASSERT_TRUE(created.ok()) << created.status().ToString();
+      engines[pruned] = std::move(created).ValueOrDie();
+    }
+    const auto expect_same = [&](const char* when) {
+      EXPECT_EQ(engines[0]->CurrentAssignment(),
+                engines[1]->CurrentAssignment())
+          << when;
+      const OnlineStats a = engines[0]->Stats();
+      const OnlineStats b = engines[1]->Stats();
+      EXPECT_TRUE(SameBits(a.last_objective, b.last_objective))
+          << when << ": " << a.last_objective << " vs " << b.last_objective;
+      EXPECT_EQ(a.resweeps, b.resweeps) << when;
+    };
+    const std::vector<uint64_t> live = engines[0]->LiveIds();
+    std::deque<uint64_t> window(live.begin(), live.end());
+    Rng rng(113);
+    size_t retired = 0;
+    while (retired < 2 * initial) {
+      const data::Matrix points = MakeBlobs(1, kBatch, dim, &rng);
+      const data::SensitiveView view =
+          MakeAdmitView(world.sensitive, kBatch, &rng);
+      std::vector<uint64_t> admitted[2];
+      for (int e = 0; e < 2; ++e) {
+        auto ids = engines[e]->Admit(points, &view);
+        ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+        admitted[e] = ids.ValueOrDie();
+      }
+      ASSERT_EQ(admitted[0], admitted[1]);
+      window.insert(window.end(), admitted[0].begin(), admitted[0].end());
+      const std::vector<uint64_t> oldest(window.begin(),
+                                         window.begin() + kBatch);
+      window.erase(window.begin(), window.begin() + kBatch);
+      for (int e = 0; e < 2; ++e) ASSERT_TRUE(engines[e]->Retire(oldest).ok());
+      retired += kBatch;
+      expect_same("after a churn step");
+    }
+    for (int e = 0; e < 2; ++e) ASSERT_TRUE(engines[e]->TriggerResweep().ok());
+    expect_same("after the forced re-sweep");
+    EXPECT_GT(engines[0]->Stats().resweeps, 1u) << "churn must re-sweep";
+    EXPECT_GT(
+        engines[1]->solver().CurrentResult().ValueOrDie().pruned_candidates,
+        0u);
+    EXPECT_EQ(
+        engines[0]->solver().CurrentResult().ValueOrDie().pruned_candidates,
+        0u);
+  }
 }
 
 TEST(OnlineValidation, AdmitRejectsBadBatchesWithoutStateChange) {

@@ -22,12 +22,14 @@
 #include "online/online_fairkm.h"
 #include "serve/assign_service.h"
 #include "test_util.h"
+#include "testlib/brute_force.h"
 #include "testlib/worlds.h"
 
 namespace fairkm {
 namespace online {
 namespace {
 
+using testutil::BruteForceExactSum;
 using testutil::MakeBlobs;
 using testutil::MakeCategorical;
 using testutil::MakeNumeric;
@@ -61,6 +63,8 @@ data::SensitiveView MakeAdmitView(const data::SensitiveView& training,
 
 // Quiesced-engine oracle (compact form of the online_fairkm_test helper):
 // Flush, then a fresh state over the surviving rows must agree bit-for-bit.
+// The fresh view's numeric means are the exactly rounded sums of the
+// surviving values, taken in a shuffled order, over n.
 void ExpectOracleEquality(OnlineFairKM* engine) {
   ASSERT_TRUE(engine->Flush().ok());
   const data::Matrix points = engine->SurvivingPoints();
@@ -73,9 +77,15 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
     cats.push_back(std::move(fresh));
   }
   data::SensitiveView fresh_view = MakeView(std::move(cats));
+  Rng shuffle(0x5EED);
   for (const auto& attr : survived.numeric) {
     data::NumericSensitive fresh = MakeNumeric(attr.values, attr.name);
     fresh.weight = attr.weight;
+    std::vector<double> values = attr.values;
+    shuffle.Shuffle(&values);
+    fresh.dataset_mean =
+        BruteForceExactSum(values) / static_cast<double>(values.size());
+    EXPECT_EQ(attr.dataset_mean, fresh.dataset_mean) << attr.name;
     fresh_view.numeric.push_back(std::move(fresh));
   }
   auto fresh_result =

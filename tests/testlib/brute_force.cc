@@ -346,5 +346,72 @@ double BruteForceSilhouette(const data::Matrix& points,
   return counted > 0 ? total / static_cast<double>(counted) : 0.0;
 }
 
+namespace {
+
+// Little-endian binary digits of a non-negative integer.
+using BigBits = std::vector<uint8_t>;
+
+void AddBitAt(BigBits* bits, size_t pos) {
+  for (; pos < bits->size() && (*bits)[pos] == 1; ++pos) (*bits)[pos] = 0;
+  if (pos >= bits->size()) bits->resize(pos + 1, 0);
+  (*bits)[pos] = 1;
+}
+
+bool BigLess(const BigBits& a, const BigBits& b) {
+  for (size_t i = std::max(a.size(), b.size()); i-- > 0;) {
+    const uint8_t x = i < a.size() ? a[i] : 0;
+    const uint8_t y = i < b.size() ? b[i] : 0;
+    if (x != y) return x < y;
+  }
+  return false;
+}
+
+// a - b for a >= b.
+BigBits BigSubtract(const BigBits& a, const BigBits& b) {
+  BigBits out(a.size(), 0);
+  int borrow = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    int d = a[i] - (i < b.size() ? b[i] : 0) - borrow;
+    borrow = d < 0 ? 1 : 0;
+    out[i] = static_cast<uint8_t>(d + 2 * borrow);
+  }
+  return out;
+}
+
+}  // namespace
+
+double BruteForceExactSum(const std::vector<double>& values) {
+  BigBits positive, negative;
+  for (const double v : values) {
+    int exponent = 0;
+    const double fraction = std::frexp(std::fabs(v), &exponent);
+    if (fraction == 0.0) continue;
+    // |v| = fraction * 2^exponent with fraction in [0.5, 1): read its 53
+    // significand bits and place each at its power of two, counted from
+    // 2^-1074.
+    const uint64_t significand =
+        static_cast<uint64_t>(std::ldexp(fraction, 53));
+    const int lowest = exponent - 53 + 1074;
+    for (int b = 0; b < 53; ++b) {
+      if (((significand >> b) & 1) == 0) continue;
+      if (lowest + b < 0) continue;  // Cannot happen for a finite double.
+      AddBitAt(v < 0 ? &negative : &positive, static_cast<size_t>(lowest + b));
+    }
+  }
+  const bool is_negative = BigLess(positive, negative);
+  BigBits magnitude = is_negative ? BigSubtract(negative, positive)
+                                  : BigSubtract(positive, negative);
+  while (!magnitude.empty() && magnitude.back() == 0) magnitude.pop_back();
+  if (magnitude.empty()) return 0.0;
+  const size_t width = magnitude.size();
+  const size_t drop = width > 64 ? width - 64 : 0;
+  uint64_t window = 0;
+  for (size_t i = width; i-- > drop;) window = window << 1 | magnitude[i];
+  for (size_t i = 0; i < drop; ++i) window |= magnitude[i];  // Sticky.
+  const double result = std::ldexp(static_cast<double>(window),
+                                   static_cast<int>(drop) - 1074);
+  return is_negative ? -result : result;
+}
+
 }  // namespace testutil
 }  // namespace fairkm

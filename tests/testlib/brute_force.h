@@ -108,6 +108,16 @@ double BruteForceSilhouette(const data::Matrix& points,
                             const cluster::Assignment& assignment, int k,
                             const metrics::SilhouetteOptions& options = {});
 
+/// \brief Exactly rounded sum of finite doubles, the oracle for ExactSum.
+/// Every finite double is an integer count of 2^-1074 units, so the values
+/// are summed as two arbitrary-precision integers (positive and negative
+/// parts, one bit at a time with a rippling carry), subtracted, and the
+/// difference is rounded once: its top 64 bits, with every lower bit folded
+/// into the last as a sticky bit, go through the hardware's
+/// round-to-nearest-even uint64 -> double conversion and are scaled back.
+/// +0.0 for an exact zero, +-infinity past the double range.
+double BruteForceExactSum(const std::vector<double>& values);
+
 }  // namespace testutil
 }  // namespace fairkm
 

@@ -75,6 +75,13 @@
 #      BM_ActiveKernelBackend_* marker says "scalar" (non-AVX2 host or
 #      FAIRKM_FORCE_SCALAR set) both sides run the same code, so the gate
 #      prints a skip reason and passes rather than measure nothing.
+#  10. Online admit/retire scaling: the points_per_sec counter of
+#      BM_Online_AdmitScaling (a steady window: each batch admits 64 points
+#      and retires the 64 oldest, both calls timed) at 262144 live rows must
+#      be >= ADMIT_SCALING_FLOOR (0.5, fixed) times the counter at 2048 rows.
+#      A batch costs O(batch) plus O(k * sum of attribute values), with no
+#      pass over the live rows; any per-batch O(n) step drops the ratio
+#      toward 2048/262144 and fails here.
 # The BM_ActiveKernelBackend_<name> marker entry records which backend the
 # runtime dispatch picked for this host/run.
 #
@@ -106,6 +113,7 @@ MIN_ASSIGN_SPEEDUP=${MIN_ASSIGN_SPEEDUP:-1.7}
 MAX_SHARDED_OVERHEAD=${MAX_SHARDED_OVERHEAD:-1.15}
 MIN_ADMIT_POINTS_PER_SEC=${MIN_ADMIT_POINTS_PER_SEC:-2000}
 MIN_SILHOUETTE_SPEEDUP=${MIN_SILHOUETTE_SPEEDUP:-2.5}
+ADMIT_SCALING_FLOOR=0.5
 BENCH="$BUILD_DIR/bench/bench_scaling"
 
 if [[ "${SKIP_BUILD:-0}" != "1" ]]; then
@@ -276,6 +284,18 @@ jq -e --argjson min "$MIN_SILHOUETTE_SPEEDUP" '
     (if $backend == "scalar" then "SKIP: dispatch backend is scalar, no SIMD kernel to gate"
      elif $speedup >= $min then "OK: >= \($min)x"
      else error("silhouette kernel speedup \($speedup) below required \($min)x") end)
+' "$OUT"
+
+# Gate 10: the online admit/retire cost per batch must not grow with the
+# live row count (steady window, both calls timed).
+jq -e --argjson min "$ADMIT_SCALING_FLOOR" '
+  (.benchmarks[] | select(.name == "BM_Online_AdmitScaling/2048") | .points_per_sec) as $small
+  | (.benchmarks[] | select(.name == "BM_Online_AdmitScaling/32768") | .points_per_sec) as $mid
+  | (.benchmarks[] | select(.name == "BM_Online_AdmitScaling/262144") | .points_per_sec) as $large
+  | ($large / $small) as $ratio
+  | "online admit/retire scaling: \($small | round) / \($mid | round) / \($large | round) points/s at 2k / 32k / 256k live rows (256k vs 2k: \($ratio * 100 | round / 100)x)",
+    (if $ratio >= $min then "OK: >= \($min)x"
+     else error("online admit/retire throughput at 256k live rows is \($ratio)x the 2k rate, below \($min)x") end)
 ' "$OUT"
 
 echo "wrote $OUT"

@@ -258,11 +258,12 @@ data::SensitiveView SliceView(const data::SensitiveView& view, size_t begin,
 // synthetic Adult dataset. Trains on the first --online-initial rows, then
 // streams the rest in as Admit batches (retiring a fraction of each batch to
 // keep churn realistic), letting the drift monitor decide when to re-sweep.
-// Prints admit throughput, the drift/re-sweep counters, and a final oracle
-// line: after Flush(), the live state must match a from-scratch rebuild over
-// the surviving rows bit for bit. Also the target of the check.sh online
-// fault gate — with FAIRKM_FAULT='supervisor.objective=error,fires=1' armed
-// and --drift-tolerance huge, exactly one re-sweep must fire.
+// Prints admit and retire throughput, the drift/re-sweep counters, and a
+// final oracle line: after Flush(), the live state must match a from-scratch
+// rebuild over the surviving rows bit for bit. Also the target of the
+// check.sh online fault gate — with
+// FAIRKM_FAULT='supervisor.objective=error,fires=1' armed and
+// --drift-tolerance huge, exactly one re-sweep must fire.
 Status OnlineBench(const ArgParser& args) {
   FAIRKM_RETURN_NOT_OK(ApplyKernelFlag(args));
   const size_t initial = static_cast<size_t>(args.GetInt("online-initial"));
@@ -325,8 +326,9 @@ Status OnlineBench(const ArgParser& args) {
   std::printf("kernel backend: %s\n", core::kernels::ActiveBackend().name);
 
   Timer timer;
-  double admit_seconds = 0.0;
+  double admit_seconds = 0.0, retire_seconds = 0.0;
   uint64_t admitted = 0, retired = 0;
+  size_t retire_batches = 0;
   for (size_t b = 0; b < batches; ++b) {
     const size_t begin = initial + b * batch;
     const data::Matrix points = SliceRows(data.features, begin, batch);
@@ -340,20 +342,25 @@ Status OnlineBench(const ArgParser& args) {
         static_cast<size_t>(retire_fraction * static_cast<double>(ids.size()));
     if (to_retire > 0) {
       ids.resize(to_retire);
+      Timer retire_timer;
       FAIRKM_RETURN_NOT_OK(engine->Retire(ids));
+      retire_seconds += retire_timer.ElapsedSeconds();
       retired += to_retire;
+      ++retire_batches;
     }
   }
   const double wall = timer.ElapsedSeconds();
 
   const online::OnlineStats stats = engine->Stats();
-  std::printf(
-      "admit: %llu points in %zu batches, %.1f ms (%.0f points/s); "
-      "%llu retired\n",
-      static_cast<unsigned long long>(admitted), batches, admit_seconds * 1e3,
-      admit_seconds > 0.0 ? static_cast<double>(admitted) / admit_seconds
-                          : 0.0,
-      static_cast<unsigned long long>(retired));
+  const auto print_rate = [](const char* what, uint64_t points,
+                              size_t calls, double seconds) {
+    std::printf("%s: %llu points in %zu batches, %.1f ms (%.0f points/s)\n",
+                what, static_cast<unsigned long long>(points), calls,
+                seconds * 1e3,
+                seconds > 0.0 ? static_cast<double>(points) / seconds : 0.0);
+  };
+  print_rate("admit", admitted, batches, admit_seconds);
+  print_rate("retire", retired, retire_batches, retire_seconds);
   std::printf("stream: %.1f ms wall\n", wall * 1e3);
   std::printf(
       "online: resweeps = %llu, flushes = %llu, generation = %llu, "
