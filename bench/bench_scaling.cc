@@ -116,6 +116,15 @@ const SyntheticWorldData& SyntheticWorld(size_t n, size_t d) {
   return *slot;
 }
 
+// The share of all candidate evaluations the O(1) stage-1 pruning gate
+// rejected (the rest of the pruned fraction went through stage 2).
+double PrunedStage1Fraction(const core::FairKMResult& r) {
+  return r.total_candidates == 0
+             ? 0.0
+             : static_cast<double>(r.pruned_stage1_candidates) /
+                   static_cast<double>(r.total_candidates);
+}
+
 // One full FairKM run over a synthetic world; shared body of the d-scaling
 // axis and the pruned-vs-exact gate pair. Reports the pruned-candidate
 // fraction (and the sweep share of wall time) as user counters.
@@ -129,16 +138,18 @@ void FairKMSweepBody(benchmark::State& state, size_t n, size_t d, bool prune) {
   // gated once the assignment settles.
   options.max_iterations = 30;
   options.enable_pruning = prune;
-  double pruned_fraction = 0.0, sweep_seconds = 0.0;
+  double pruned_fraction = 0.0, stage1_fraction = 0.0, sweep_seconds = 0.0;
   for (auto _ : state) {
     Rng rng(42);
     auto result = RunSession(world.features, world.sensitive, options, &rng);
     const core::FairKMResult& r = result.ValueOrDie();
     pruned_fraction = r.PrunedFraction();
+    stage1_fraction = PrunedStage1Fraction(r);
     sweep_seconds = r.sweep_seconds;
     benchmark::DoNotOptimize(result.ok());
   }
   state.counters["pruned_fraction"] = pruned_fraction;
+  state.counters["pruned_stage1_fraction"] = stage1_fraction;
   state.counters["sweep_seconds"] = sweep_seconds;
 }
 
@@ -364,14 +375,17 @@ void BM_FairKM_AllAttributes(benchmark::State& state) {
   core::FairKMOptions options;
   options.k = 5;
   options.lambda = data.paper_lambda;
-  double pruned_fraction = 0.0;
+  double pruned_fraction = 0.0, stage1_fraction = 0.0;
   for (auto _ : state) {
     Rng rng(42);
     auto result = RunSession(data.features, data.sensitive, options, &rng);
-    pruned_fraction = result.ValueOrDie().PrunedFraction();
+    const core::FairKMResult& r = result.ValueOrDie();
+    pruned_fraction = r.PrunedFraction();
+    stage1_fraction = PrunedStage1Fraction(r);
     benchmark::DoNotOptimize(result.ok());
   }
   state.counters["pruned_fraction"] = pruned_fraction;
+  state.counters["pruned_stage1_fraction"] = stage1_fraction;
 }
 BENCHMARK(BM_FairKM_AllAttributes)->Unit(benchmark::kMillisecond);
 
@@ -437,8 +451,9 @@ BENCHMARK(BM_ZgyaSoft)->Unit(benchmark::kMillisecond);
 // evaluations (every point x every candidate cluster, k = 5, 2000-row Adult
 // slice, all sensitive attributes — the paper's multi-attribute regime).
 // _Reference uses the pre-optimization kernels (O(d) two-distance K-Means +
-// O(sum_S m_S) fairness loops); _DeltaKernels uses the batched
-// DeltaKMeansAllClusters pass + the O(1)-per-attribute fairness closed form.
+// O(sum_S m_S) fairness loops); _DeltaKernels uses the two batched passes
+// the solver runs per point: DeltaKMeansAllClusters + DeltaFairnessAllClusters
+// (the O(1)-per-attribute fairness closed form over k contiguous lanes).
 // tools/bench_json.sh records this pair in BENCH_scaling.json as the perf
 // trajectory anchor.
 core::FairKMState MakeAdultState(const exp::ExperimentData& data, int k) {
@@ -481,12 +496,14 @@ void SweepDeltaKernels(benchmark::State& state,
   const core::FairKMState fairness_state = MakeAdultState(data, k);
   const size_t n = data.features.rows();
   std::vector<double> km(static_cast<size_t>(k));
+  std::vector<double> fair(static_cast<size_t>(k));
   for (auto _ : state) {
     double acc = 0.0;
     for (size_t i = 0; i < n; ++i) {
       fairness_state.DeltaKMeansAllClusters(i, km.data());
+      fairness_state.DeltaFairnessAllClusters(i, fair.data());
       for (int c = 0; c < k; ++c) {
-        acc += km[static_cast<size_t>(c)] + fairness_state.DeltaFairness(i, c);
+        acc += km[static_cast<size_t>(c)] + fair[static_cast<size_t>(c)];
       }
     }
     benchmark::DoNotOptimize(acc);
@@ -503,6 +520,110 @@ void BM_SweepCandidates_DeltaKernels_Scalar(benchmark::State& state) {
   SweepDeltaKernels(state, &core::kernels::ScalarBackend());
 }
 BENCHMARK(BM_SweepCandidates_DeltaKernels_Scalar)->Unit(benchmark::kMillisecond);
+
+// Candidate scans over many attribute values: k = 8, d = 32, n = 4000
+// uniform rows and four categorical attributes with 2/5/12/41 values and
+// skewed marginals (the regime of many overlapping groups). _Reference
+// prices every (point, cluster) pair with the pre-optimization kernels;
+// _Batched runs the solver's two batched passes per point on the dispatched
+// backend; _Batched_ScalarLanes pins only the FairDeltaLanes entry to the
+// scalar backend, isolating what the vector lane kernel adds.
+const SyntheticWorldData& ManyValuesWorld() {
+  static const SyntheticWorldData world = [] {
+    const size_t n = 4000, d = 32;
+    SyntheticWorldData w;
+    Rng rng(0x3A1E5);
+    w.features = data::Matrix(n, d);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < d; ++j) w.features.At(i, j) = rng.UniformDouble();
+    }
+    for (const int m : {2, 5, 12, 41}) {
+      data::CategoricalSensitive attr;
+      attr.name = "attr" + std::to_string(m);
+      attr.cardinality = m;
+      attr.codes.resize(n);
+      std::vector<int64_t> counts(static_cast<size_t>(m), 0);
+      for (size_t i = 0; i < n; ++i) {
+        // Skewed: a draw of min(u1, u2) favours the low codes.
+        const uint64_t u1 = rng.UniformInt(static_cast<uint64_t>(m));
+        const uint64_t u2 = rng.UniformInt(static_cast<uint64_t>(m));
+        attr.codes[i] = static_cast<int32_t>(std::min(u1, u2));
+        ++counts[static_cast<size_t>(attr.codes[i])];
+      }
+      for (const int64_t c : counts) {
+        attr.dataset_fractions.push_back(static_cast<double>(c) /
+                                         static_cast<double>(n));
+      }
+      w.sensitive.categorical.push_back(std::move(attr));
+    }
+    return w;
+  }();
+  return world;
+}
+
+core::FairKMState MakeManyValuesState() {
+  const SyntheticWorldData& world = ManyValuesWorld();
+  Rng rng(5);
+  cluster::Assignment initial(world.features.rows());
+  for (auto& a : initial) a = static_cast<int32_t>(rng.UniformInt(uint64_t{8}));
+  return core::FairKMState::Create(&world.features, &world.sensitive, 8,
+                                   initial)
+      .ValueOrDie();
+}
+
+void BM_SweepCandidates_ManyValues_Reference(benchmark::State& state) {
+  const core::FairKMState fairness_state = MakeManyValuesState();
+  const size_t n = fairness_state.num_rows();
+  const int k = fairness_state.k();
+  for (auto _ : state) {
+    double acc = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      for (int c = 0; c < k; ++c) {
+        acc += fairness_state.ReferenceDeltaKMeans(i, c) +
+               fairness_state.ReferenceDeltaFairness(i, c);
+      }
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_SweepCandidates_ManyValues_Reference)
+    ->Unit(benchmark::kMillisecond);
+
+void ManyValuesBatched(benchmark::State& state,
+                       const core::kernels::Backend* backend) {
+  core::kernels::SetActiveBackend(backend);
+  const core::FairKMState fairness_state = MakeManyValuesState();
+  const size_t n = fairness_state.num_rows();
+  const size_t k = static_cast<size_t>(fairness_state.k());
+  std::vector<double> km(k), fair(k);
+  for (auto _ : state) {
+    double acc = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      fairness_state.DeltaKMeansAllClusters(i, km.data());
+      fairness_state.DeltaFairnessAllClusters(i, fair.data());
+      for (size_t c = 0; c < k; ++c) acc += km[c] + fair[c];
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  core::kernels::SetActiveBackend(nullptr);
+}
+
+void BM_SweepCandidates_ManyValues_Batched(benchmark::State& state) {
+  ManyValuesBatched(state, nullptr);
+}
+BENCHMARK(BM_SweepCandidates_ManyValues_Batched)->Unit(benchmark::kMillisecond);
+
+void BM_SweepCandidates_ManyValues_Batched_ScalarLanes(
+    benchmark::State& state) {
+  static core::kernels::Backend mixed = [] {
+    core::kernels::Backend b = core::kernels::DispatchBackend(false);
+    b.FairDeltaLanes = core::kernels::ScalarBackend().FairDeltaLanes;
+    return b;
+  }();
+  ManyValuesBatched(state, &mixed);
+}
+BENCHMARK(BM_SweepCandidates_ManyValues_Batched_ScalarLanes)
+    ->Unit(benchmark::kMillisecond);
 
 // Kernel-level micro benches: the blocked GEMV (x . S_c for all clusters in
 // one pass) and the fairness-moment kernel, scalar backend vs whatever
@@ -875,11 +996,16 @@ void BM_MoveDeltaEvaluation(benchmark::State& state) {
   auto fairness_state =
       core::FairKMState::Create(&data.features, &data.sensitive, k, initial)
           .ValueOrDie();
+  std::vector<double> fair(static_cast<size_t>(k));
   size_t i = 0;
   for (auto _ : state) {
+    // One candidate's K-Means delta plus its lane of the batched fairness
+    // pass (which prices all k candidates of the point).
+    const size_t row = i % data.features.rows();
     const int to = static_cast<int>(i % k);
-    double delta = fairness_state.DeltaKMeans(i % data.features.rows(), to) +
-                   fairness_state.DeltaFairness(i % data.features.rows(), to);
+    fairness_state.DeltaFairnessAllClusters(row, fair.data());
+    double delta = fairness_state.DeltaKMeans(row, to) +
+                   fair[static_cast<size_t>(to)];
     benchmark::DoNotOptimize(delta);
     ++i;
   }

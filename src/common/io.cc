@@ -209,6 +209,14 @@ Status WriteSectionFile(const std::string& path, uint32_t magic,
   header.PutU32(version);
   header.PutU32(static_cast<uint32_t>(sections.size()));
   std::string file = header.Release();
+  // Size the buffer once: growing it by doubling while appending a large
+  // payload would briefly hold two copies of the file.
+  constexpr size_t kFileCrcBytes = 4, kFrameBytes = 16;  // tag+size+crc
+  size_t total = file.size() + kFileCrcBytes;
+  for (const auto& section : sections) {
+    total += kFrameBytes + section.payload.size();
+  }
+  file.reserve(total);
   {
     BinaryWriter crc;
     crc.PutU32(MaskCrc32c(Crc32c(file.data(), file.size())));

@@ -18,6 +18,9 @@ constexpr char kFaultScope[] = "checkpoint";
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionState = 2;
 constexpr uint32_t kSectionPruner = 3;
+// Optional (readers ignore unknown tags, and files without it restore the
+// split as all-stage-2), so adding it needed no format version bump.
+constexpr uint32_t kSectionPruneStages = 4;
 
 // ---- generic vector plumbing ------------------------------------------
 
@@ -278,6 +281,21 @@ std::string EncodePruner(const SweepPruner::Checkpoint& pr) {
   return w.Release();
 }
 
+std::string EncodePruneStages(const SolverCheckpoint& cp) {
+  io::BinaryWriter w;
+  w.PutU64(cp.pruned_stage1_candidates);
+  return w.Release();
+}
+
+Status DecodePruneStages(const std::string& payload, SolverCheckpoint* cp) {
+  io::BinaryReader r(payload);
+  FAIRKM_RETURN_NOT_OK(r.GetU64(&cp->pruned_stage1_candidates));
+  if (cp->pruned_stage1_candidates > cp->pruned_candidates) {
+    return Status::DataLoss("stage-1 pruned count exceeds the pruned total");
+  }
+  return r.ExpectFullyConsumed();
+}
+
 Status DecodePruner(const std::string& payload, SweepPruner::Checkpoint* pr) {
   io::BinaryReader r(payload);
   FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &pr->lb0));
@@ -311,6 +329,7 @@ Status WriteSolverCheckpoint(const std::string& path,
   sections.push_back({kSectionState, EncodeState(cp.state)});
   if (cp.has_pruner) {
     sections.push_back({kSectionPruner, EncodePruner(cp.pruner)});
+    sections.push_back({kSectionPruneStages, EncodePruneStages(cp)});
   }
   return io::WriteSectionFile(path, kMagic, kFormatVersion, sections,
                               kFaultScope);
@@ -337,6 +356,10 @@ Result<SolverCheckpoint> ReadSolverCheckpoint(const std::string& path) {
     }
     FAIRKM_RETURN_NOT_OK(
         AsDataLoss(DecodePruner(pruner->payload, &cp.pruner), "pruner", path));
+    if (const io::Section* stages = file.Find(kSectionPruneStages)) {
+      FAIRKM_RETURN_NOT_OK(AsDataLoss(
+          DecodePruneStages(stages->payload, &cp), "prune-stages", path));
+    }
   }
   return cp;
 }

@@ -2,7 +2,9 @@
 //
 // The file is a section container (common/io.h) with magic "FKMC" and three
 // sections: run metadata, the FairKMState float aggregates, and (when the
-// run prunes) the SweepPruner bound tables. Every double is stored as its
+// run prunes) the SweepPruner bound tables, followed in pruned runs by an
+// optional fourth holding the stage-1 share of the pruned-candidate count
+// (older files lack it and still load). Every double is stored as its
 // raw 8-byte image, so a solver restored from disk replays the exact
 // trajectory of the in-memory Snapshot()/Restore() path — bit-identical
 // assignments, objective history, and pruning counters.

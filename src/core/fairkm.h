@@ -79,6 +79,11 @@ struct FairKMResult : cluster::ClusteringResult {
   /// the pruning gate contributes its k-1 to `pruned_candidates` as well.
   uint64_t total_candidates = 0;
   uint64_t pruned_candidates = 0;
+  /// pruned_candidates split by the gate stage that rejected them
+  /// (core/pruning.h): stage 1 is the O(1) cluster-level gate, stage 2 the
+  /// per-candidate one. The two always sum to pruned_candidates.
+  uint64_t pruned_stage1_candidates = 0;
+  uint64_t pruned_stage2_candidates = 0;
   /// Fraction of candidate evaluations the pruning gate rejected (0 when
   /// pruning was off or nothing was processed).
   double PrunedFraction() const {

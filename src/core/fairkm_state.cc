@@ -147,9 +147,63 @@ void FairKMState::BuildAggregates(cluster::Assignment initial) {
     moments_.cat_q2[a] = q2;
     for (int c = 0; c < k_; ++c) RecomputeCatMoments(a, c);
   }
+  RebuildLaneMirrors();
   proto_counts_ = counts_;
   proto_sums_ = sums_;
   proto_sum_norms_ = sum_norms_;
+  SyncAllKMeansFactors();
+}
+
+void FairKMState::SyncKMeansFactors(size_t c) {
+  const size_t cnt = (use_snapshot_ ? proto_counts_ : counts_)[c];
+  const double size = static_cast<double>(cnt);
+  eff_inv_[c] = cnt == 0 ? 0.0 : 1.0 / size;
+  eff_addf_[c] = cnt == 0 ? 0.0 : size / static_cast<double>(cnt + 1);
+  eff_remf_[c] = cnt <= 1 ? 0.0 : size / static_cast<double>(cnt - 1);
+}
+
+void FairKMState::SyncAllKMeansFactors() {
+  const size_t k = static_cast<size_t>(k_);
+  eff_inv_.resize(k);
+  eff_addf_.resize(k);
+  eff_remf_.resize(k);
+  for (size_t c = 0; c < k; ++c) SyncKMeansFactors(c);
+}
+
+void FairKMState::RebuildLaneMirrors() {
+  const size_t k = static_cast<size_t>(k_);
+  lane_counts_.resize(sensitive_->categorical.size());
+  cat_lanes_.resize(sensitive_->categorical.size());
+  num_lanes_.resize(sensitive_->numeric.size());
+  for (size_t a = 0; a < lane_counts_.size(); ++a) {
+    const auto& attr = sensitive_->categorical[a];
+    const size_t m = static_cast<size_t>(attr.cardinality);
+    // The per-attribute lane weight w_a * norm_a is fixed for the state's
+    // lifetime; DeltaFairnessAllClusters fills the per-point fields.
+    cat_lanes_[a].weight =
+        attr.weight * (config_.normalize_domain
+                           ? 1.0 / static_cast<double>(attr.cardinality)
+                           : 1.0);
+    const std::vector<int64_t>& counts = moments_.cat_counts[a];
+    std::vector<double>& lanes = lane_counts_[a];
+    lanes.resize(k * m);
+    for (size_t c = 0; c < k; ++c) {
+      for (size_t v = 0; v < m; ++v) {
+        lanes[v * k + c] = static_cast<double>(counts[c * m + v]);
+      }
+    }
+  }
+  lane_sizes_.resize(k);
+  lane_scale_before_.resize(k);
+  lane_scale_after_.resize(k);
+  for (size_t c = 0; c < k; ++c) SyncLaneCluster(c);
+}
+
+void FairKMState::SyncLaneCluster(size_t c) {
+  const size_t cnt = counts_[c];
+  lane_sizes_[c] = static_cast<double>(cnt);
+  lane_scale_before_[c] = ClusterScale(config_.weighting, cnt, n_);
+  lane_scale_after_[c] = ClusterScale(config_.weighting, cnt + 1, n_);
 }
 
 Status FairKMState::Reset(cluster::Assignment initial) {
@@ -199,14 +253,19 @@ Status FairKMState::AdmitAppended(int to) {
   double* acc = sums_.data() + ti * stride_;
   for (size_t j = 0; j < d_; ++j) acc[j] += row[j];
   sum_norms_[ti] = kernels::Dot(acc, acc, stride_);
+  const size_t k = static_cast<size_t>(k_);
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
-    ++moments_.cat_counts[a][ti * attr.cardinality + attr.codes[i]];
+    const size_t v = static_cast<size_t>(attr.codes[i]);
+    ++moments_.cat_counts[a][ti * attr.cardinality + v];
+    lane_counts_[a][v * k + ti] += 1.0;
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     moments_.num_sums[a][ti] += sensitive_->numeric[a].values[i];
   }
   n_ = store_->rows();
+  SyncLaneCluster(ti);  // The other scale rows follow n in RefreshDatasetStats.
+  if (!use_snapshot_) SyncKMeansFactors(ti);
   return Status::OK();
 }
 
@@ -233,9 +292,12 @@ Status FairKMState::RetireSwapped(size_t r) {
   for (size_t j = 0; j < d_; ++j) acc[j] -= row[j];
   sum_norms_[ci] = kernels::Dot(acc, acc, stride_);
   --counts_[ci];
+  const size_t k = static_cast<size_t>(k_);
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
-    --moments_.cat_counts[a][ci * attr.cardinality + attr.codes[r]];
+    const size_t v = static_cast<size_t>(attr.codes[r]);
+    --moments_.cat_counts[a][ci * attr.cardinality + v];
+    lane_counts_[a][v * k + ci] -= 1.0;
   }
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     moments_.num_sums[a][ci] -= sensitive_->numeric[a].values[r];
@@ -247,6 +309,8 @@ Status FairKMState::RetireSwapped(size_t r) {
   point_norms_[r] = point_norms_[last];
   point_norms_.pop_back();
   --n_;
+  SyncLaneCluster(ci);  // The other scale rows follow n in RefreshDatasetStats.
+  if (!use_snapshot_) SyncKMeansFactors(ci);
   return Status::OK();
 }
 
@@ -260,6 +324,8 @@ void FairKMState::RefreshDatasetStats() {
     moments_.cat_q2[a] = q2;
     for (int c = 0; c < k_; ++c) RecomputeCatMoments(a, c);
   }
+  // Every ClusterScale depends on n, which admits and retires changed.
+  for (size_t c = 0; c < static_cast<size_t>(k_); ++c) SyncLaneCluster(c);
   if (track_bounds_) EnableBoundTracking(true);
 }
 
@@ -295,21 +361,20 @@ void FairKMState::RecomputeCatMoments(size_t a, int c) {
                       &moments_.cat_uq[a][static_cast<size_t>(c)]);
 }
 
-void FairKMState::RecomputeFairBounds(int c) {
+void FairKMState::RecomputeFairBounds(int c) const {
   const size_t ci = static_cast<size_t>(c);
   const size_t cnt = counts_[ci];
-  const double scale_before = ClusterScale(config_.weighting, cnt, n_);
-  const double scale_ins_after = ClusterScale(config_.weighting, cnt + 1, n_);
+  // The lane rows hold ClusterScale(cnt) / ClusterScale(cnt + 1) and the
+  // lane descriptors w_a * norm_a, the very values this would recompute.
+  const double scale_before = lane_scale_before_[ci];
+  const double scale_ins_after = lane_scale_after_[ci];
   const double scale_rem_after =
       cnt >= 1 ? ClusterScale(config_.weighting, cnt - 1, n_) : 0.0;
   double rem = 0.0, ins = 0.0;
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
     const size_t m = static_cast<size_t>(attr.cardinality);
-    const double wn = attr.weight *
-                      (config_.normalize_domain
-                           ? 1.0 / static_cast<double>(attr.cardinality)
-                           : 1.0);
+    const double wn = cat_lanes_[a].weight;
     double rem_min = 0.0, ins_min = 0.0;
     kernels::CatDeltaBounds(moments_.cat_counts[a].data() + ci * m,
                             attr.dataset_fractions.data(), m,
@@ -319,10 +384,11 @@ void FairKMState::RecomputeFairBounds(int c) {
                             delta_scratch_rem_.data(),
                             delta_scratch_ins_.data(), &rem_min, &ins_min);
     double* rem_row = cat_rem_delta_[a].data() + ci * m;
-    double* ins_row = cat_ins_delta_[a].data() + ci * m;
+    double* ins_col = cat_ins_delta_[a].data() + ci;
+    const size_t k = static_cast<size_t>(k_);
     for (size_t v = 0; v < m; ++v) {
       rem_row[v] = wn * delta_scratch_rem_[v];
-      ins_row[v] = wn * delta_scratch_ins_[v];
+      ins_col[v * k] = wn * delta_scratch_ins_[v];
     }
     ins += wn * ins_min;
     // The removal row of an empty cluster is undefined (and unused): no
@@ -346,6 +412,7 @@ void FairKMState::RecomputeFairBounds(int c) {
 
 double FairKMState::FairRemovalDelta(size_t i) const {
   FAIRKM_DCHECK(track_bounds_);
+  SyncFairBounds();
   const int from = assignment_[i];
   const size_t fi = static_cast<size_t>(from);
   double total = 0.0;
@@ -369,31 +436,52 @@ double FairKMState::FairRemovalDelta(size_t i) const {
   return total;
 }
 
-double FairKMState::FairInsertionDelta(size_t i, int c) const {
+void FairKMState::FairInsertionDeltaAllClusters(size_t i, double* out) const {
   FAIRKM_DCHECK(track_bounds_);
-  const size_t ci = static_cast<size_t>(c);
-  double total = 0.0;
+  SyncFairBounds();
+  const size_t k = static_cast<size_t>(k_);
+  // Attribute by attribute, one contiguous k-row each: lane c accumulates
+  // 0.0 + row_0[c] + row_1[c] + ..., the per-candidate lookup sum. The
+  // restrict-qualified rows let the compiler run the lanes as vectors.
+  double* __restrict lanes = out;
+  for (size_t c = 0; c < k; ++c) lanes[c] = 0.0;
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
-    const auto& attr = sensitive_->categorical[a];
-    total += cat_ins_delta_[a][ci * static_cast<size_t>(attr.cardinality) +
-                               static_cast<size_t>(attr.codes[i])];
+    const double* __restrict row =
+        cat_ins_delta_[a].data() +
+        static_cast<size_t>(sensitive_->categorical[a].codes[i]) * k;
+    for (size_t c = 0; c < k; ++c) lanes[c] += row[c];
   }
-  const size_t c_to = counts_[ci];
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     const auto& attr = sensitive_->numeric[a];
-    const double x = attr.values[i];
-    const double mean = attr.dataset_mean;
-    const double u =
-        moments_.num_sums[a][ci] - static_cast<double>(c_to) * mean;
-    const double u_after = u + x - mean;
-    total += attr.weight *
-             (ClusterScale(config_.weighting, c_to + 1, n_) * u_after * u_after -
-              ClusterScale(config_.weighting, c_to, n_) * u * u);
+    const double* sums = moments_.num_sums[a].data();
+    for (size_t c = 0; c < k; ++c) {
+      lanes[c] += attr.weight *
+                  NumInsertionTerm(sums[c], lane_sizes_[c], attr.dataset_mean,
+                                   attr.values[i], lane_scale_before_[c],
+                                   lane_scale_after_[c]);
+    }
   }
-  return total;
 }
 
-void FairKMState::RescanInsertionBounds() {
+void FairKMState::MarkFairBoundsDirty(size_t c) {
+  if (fair_dirty_[c] == 0) {
+    fair_dirty_[c] = 1;
+    ++fair_dirty_count_;
+  }
+}
+
+void FairKMState::FlushFairBounds() const {
+  for (int c = 0; c < k_; ++c) {
+    uint8_t& dirty = fair_dirty_[static_cast<size_t>(c)];
+    if (dirty == 0) continue;
+    RecomputeFairBounds(c);
+    dirty = 0;
+  }
+  fair_dirty_count_ = 0;
+  RescanInsertionBounds();
+}
+
+void FairKMState::RescanInsertionBounds() const {
   ins_best_ = std::numeric_limits<double>::infinity();
   ins_second_ = std::numeric_limits<double>::infinity();
   ins_best_cluster_ = -1;
@@ -411,15 +499,11 @@ void FairKMState::RescanInsertionBounds() {
 }
 
 void FairKMState::RescanAdditionFactors() {
-  const std::vector<size_t>& counts = use_snapshot_ ? proto_counts_ : counts_;
   addf_best_ = std::numeric_limits<double>::infinity();
   addf_second_ = std::numeric_limits<double>::infinity();
   addf_best_cluster_ = -1;
   for (int c = 0; c < k_; ++c) {
-    const size_t cnt = counts[static_cast<size_t>(c)];
-    const double f = cnt == 0 ? 0.0
-                              : static_cast<double>(cnt) /
-                                    static_cast<double>(cnt + 1);
+    const double f = eff_addf_[static_cast<size_t>(c)];
     if (f < addf_best_) {
       addf_second_ = addf_best_;
       addf_best_ = f;
@@ -439,16 +523,6 @@ void FairKMState::AccumulateMaxStep(double displacement) {
   max_step_sum_ += displacement;
 }
 
-double FairKMState::FairInsertionLowerBoundExcluding(int from) const {
-  FAIRKM_DCHECK(track_bounds_);
-  return ins_best_cluster_ == from ? ins_second_ : ins_best_;
-}
-
-double FairKMState::MinAdditionFactorExcluding(int from) const {
-  FAIRKM_DCHECK(track_bounds_);
-  return addf_best_cluster_ == from ? addf_second_ : addf_best_;
-}
-
 void FairKMState::EnableBoundTracking(bool enable) {
   track_bounds_ = enable;
   if (!enable) {
@@ -459,6 +533,8 @@ void FairKMState::EnableBoundTracking(bool enable) {
     delta_scratch_ins_.clear();
     fair_rem_bound_.clear();
     fair_ins_bound_.clear();
+    fair_dirty_.clear();
+    fair_dirty_count_ = 0;
     return;
   }
   drift_.assign(static_cast<size_t>(k_), 0.0);
@@ -480,6 +556,8 @@ void FairKMState::EnableBoundTracking(bool enable) {
   delta_scratch_ins_.assign(max_card, 0.0);
   fair_rem_bound_.assign(static_cast<size_t>(k_), 0.0);
   fair_ins_bound_.assign(static_cast<size_t>(k_), 0.0);
+  fair_dirty_.assign(static_cast<size_t>(k_), 0);
+  fair_dirty_count_ = 0;
   for (int c = 0; c < k_; ++c) RecomputeFairBounds(c);
   RescanInsertionBounds();
   RescanAdditionFactors();
@@ -550,6 +628,8 @@ void FairKMState::DeltaKMeansAllClusters(size_t i, double* out,
   const int from = assignment_[i];
   const double* row = store_->Row(i);
   const double xn = point_norms_[i];
+  // The count factors come from the eff_* rows (exactly the quotients the
+  // per-candidate expressions would divide out).
 
   // Pass 1: the k dot products x . S_c as one aligned no-tail GEMV over the
   // k x stride sums matrix (the dispatch-selected kernel backend; everything
@@ -565,7 +645,7 @@ void FairKMState::DeltaKMeansAllClusters(size_t i, double* out,
       if (dists != nullptr) dists[c] = 0.0;
       continue;
     }
-    const double inv = 1.0 / static_cast<double>(cnt);
+    const double inv = eff_inv_[static_cast<size_t>(c)];
     const double dist = xn - 2.0 * out[c] * inv +
                         sum_norms[static_cast<size_t>(c)] * inv * inv;
     // Same cancellation clamp as CachedDistanceToMean.
@@ -577,9 +657,7 @@ void FairKMState::DeltaKMeansAllClusters(size_t i, double* out,
   // Pass 2: fold the shared removal term into per-candidate deltas.
   const size_t c_from = counts[static_cast<size_t>(from)];
   const double removal =
-      c_from > 1 ? -static_cast<double>(c_from) /
-                       static_cast<double>(c_from - 1) * out[from]
-                 : 0.0;
+      c_from > 1 ? -eff_remf_[static_cast<size_t>(from)] * out[from] : 0.0;
   for (int c = 0; c < k_; ++c) {
     if (c == from) {
       out[c] = 0.0;
@@ -587,8 +665,7 @@ void FairKMState::DeltaKMeansAllClusters(size_t i, double* out,
     }
     const size_t cnt = counts[static_cast<size_t>(c)];
     const double addition =
-        cnt > 0 ? static_cast<double>(cnt) / static_cast<double>(cnt + 1) * out[c]
-                : 0.0;
+        cnt > 0 ? eff_addf_[static_cast<size_t>(c)] * out[c] : 0.0;
     out[c] = removal + addition;
   }
 }
@@ -616,71 +693,65 @@ double FairKMState::ReferenceDeltaKMeans(size_t i, int to) const {
   return delta;
 }
 
-double FairKMState::DeltaFairness(size_t i, int to) const {
-  const int from = assignment_[i];
-  if (to == from || sensitive_->empty()) return 0.0;
-  const size_t c_from = counts_[static_cast<size_t>(from)];
-  const size_t c_to = counts_[static_cast<size_t>(to)];
+void FairKMState::DeltaFairnessAllClusters(size_t i, double* out) const {
+  const size_t k = static_cast<size_t>(k_);
+  const size_t from = static_cast<size_t>(assignment_[i]);
+  if (sensitive_->empty()) {
+    std::fill(out, out + k, 0.0);
+    return;
+  }
+  const size_t c_from = counts_[from];
   FAIRKM_DCHECK(c_from >= 1);
+  const double size_from = lane_sizes_[from];
+  const double scale_from_before = lane_scale_before_[from];
+  const double scale_from_after =
+      ClusterScale(config_.weighting, c_from - 1, n_);
 
-  const double scale_from_before = ClusterScale(config_.weighting, c_from, n_);
-  const double scale_from_after = ClusterScale(config_.weighting, c_from - 1, n_);
-  const double scale_to_before = ClusterScale(config_.weighting, c_to, n_);
-  const double scale_to_after = ClusterScale(config_.weighting, c_to + 1, n_);
-
-  double delta = 0.0;
-
+  // The origin-cluster (removal) half, once per attribute: removal sends
+  // u_s -> u_s + q_s - [s=v], so the new moment is
+  // U2 + Q2 + 1 + 2 (UQ - u_v - q_v); u_v touches one count.
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
-    const int m = attr.cardinality;
-    const int32_t v = attr.codes[i];
+    const size_t m = static_cast<size_t>(attr.cardinality);
+    const size_t v = static_cast<size_t>(attr.codes[i]);
     const double q_v = attr.dataset_fractions[v];
     const double q2 = moments_.cat_q2[a];
-    const double norm =
-        config_.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
-
-    // Origin cluster: removal sends u_s -> u_s + q_s - [s=v], so the new
-    // moment is U2 + Q2 + 1 + 2 (UQ - u_v - q_v); u_v touches one count.
-    const double u2_from = moments_.cat_u2[a][static_cast<size_t>(from)];
-    const double uq_from = moments_.cat_uq[a][static_cast<size_t>(from)];
+    const double u2_from = moments_.cat_u2[a][from];
     const double u_v_from =
-        static_cast<double>(
-            moments_.cat_counts[a][static_cast<size_t>(from) * m + v]) -
-        static_cast<double>(c_from) * q_v;
-    const double after_from = u2_from + q2 + 1.0 + 2.0 * (uq_from - u_v_from - q_v);
-
-    // Target cluster: insertion sends u_s -> u_s - q_s + [s=v].
-    const double u2_to = moments_.cat_u2[a][static_cast<size_t>(to)];
-    const double uq_to = moments_.cat_uq[a][static_cast<size_t>(to)];
-    const double u_v_to =
-        static_cast<double>(
-            moments_.cat_counts[a][static_cast<size_t>(to) * m + v]) -
-        static_cast<double>(c_to) * q_v;
-    const double after_to = u2_to + q2 + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
-
-    delta += attr.weight * norm *
-             ((scale_from_after * after_from - scale_from_before * u2_from) +
-              (scale_to_after * after_to - scale_to_before * u2_to));
+        static_cast<double>(moments_.cat_counts[a][from * m + v]) -
+        size_from * q_v;
+    const double after_from =
+        u2_from + q2 + 1.0 +
+        2.0 * (moments_.cat_uq[a][from] - u_v_from - q_v);
+    kernels::FairCatLane& lane = cat_lanes_[a];  // .weight set at rebuild.
+    lane.u2 = moments_.cat_u2[a].data();
+    lane.uq = moments_.cat_uq[a].data();
+    lane.count_v = lane_counts_[a].data() + v * k;
+    lane.q2 = q2;
+    lane.q_v = q_v;
+    lane.removal = scale_from_after * after_from - scale_from_before * u2_from;
   }
-
   for (size_t a = 0; a < sensitive_->numeric.size(); ++a) {
     const auto& attr = sensitive_->numeric[a];
     const double x = attr.values[i];
     const double mean = attr.dataset_mean;
-    const double t_from = moments_.num_sums[a][static_cast<size_t>(from)];
-    const double t_to = moments_.num_sums[a][static_cast<size_t>(to)];
-    // u = T_C - c * mean; removal: u' = u - x + mean; insertion: u' = u + x - mean.
-    const double u_from = t_from - static_cast<double>(c_from) * mean;
+    // u = T_C - c * mean; removal: u' = u - x + mean.
+    const double u_from = moments_.num_sums[a][from] - size_from * mean;
     const double u_from_after = u_from - x + mean;
-    const double u_to = t_to - static_cast<double>(c_to) * mean;
-    const double u_to_after = u_to + x - mean;
-    delta += attr.weight *
-             ((scale_from_after * u_from_after * u_from_after -
-               scale_from_before * u_from * u_from) +
-              (scale_to_after * u_to_after * u_to_after -
-               scale_to_before * u_to * u_to));
+    kernels::FairNumLane& lane = num_lanes_[a];
+    lane.sums = moments_.num_sums[a].data();
+    lane.mean = mean;
+    lane.x = x;
+    lane.weight = attr.weight;
+    lane.removal = scale_from_after * u_from_after * u_from_after -
+                   scale_from_before * u_from * u_from;
   }
-  return delta;
+  // The insertion halves: all k candidates as contiguous lanes.
+  kernels::FairDeltaLanes(cat_lanes_.data(), cat_lanes_.size(),
+                          num_lanes_.data(), num_lanes_.size(),
+                          lane_sizes_.data(), lane_scale_before_.data(),
+                          lane_scale_after_.data(), k, out);
+  out[from] = 0.0;
 }
 
 int FairKMState::BestInsertion(const double* x, const int32_t* codes,
@@ -715,6 +786,7 @@ int FairKMState::BestInsertion(const double* x, const int32_t* codes,
 }
 
 void FairKMState::SaveCheckpoint(Checkpoint* out) const {
+  SyncFairBounds();
   out->assignment = assignment_;
   out->counts = counts_;
   out->sums = sums_;
@@ -731,7 +803,21 @@ void FairKMState::SaveCheckpoint(Checkpoint* out) const {
   out->drift = drift_;
   out->max_step_sum = max_step_sum_;
   out->cat_rem_delta = cat_rem_delta_;
-  out->cat_ins_delta = cat_ins_delta_;
+  // The live insertion table is value-major; the checkpoint keeps the
+  // cluster-major layout of its on-disk format.
+  const size_t k = static_cast<size_t>(k_);
+  out->cat_ins_delta.resize(cat_ins_delta_.size());
+  for (size_t a = 0; a < cat_ins_delta_.size(); ++a) {
+    const size_t m =
+        static_cast<size_t>(sensitive_->categorical[a].cardinality);
+    std::vector<double>& dst = out->cat_ins_delta[a];
+    dst.resize(k * m);
+    for (size_t c = 0; c < k; ++c) {
+      for (size_t v = 0; v < m; ++v) {
+        dst[c * m + v] = cat_ins_delta_[a][v * k + c];
+      }
+    }
+  }
   out->fair_rem_bound = fair_rem_bound_;
   out->fair_ins_bound = fair_ins_bound_;
   out->ins_best = ins_best_;
@@ -755,6 +841,18 @@ Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
     return Status::InvalidArgument(
         "checkpoint was taken under different snapshot/bound-tracking modes");
   }
+  const size_t k = static_cast<size_t>(k_);
+  for (size_t a = 0; a < cp.cat_counts.size(); ++a) {
+    const size_t cells =
+        k * static_cast<size_t>(sensitive_->categorical[a].cardinality);
+    if (cp.cat_counts[a].size() != cells ||
+        (track_bounds_ && (cp.cat_ins_delta.size() != cp.cat_counts.size() ||
+                           cp.cat_ins_delta[a].size() != cells))) {
+      return Status::InvalidArgument(
+          "checkpoint count/delta tables do not match this state's k and "
+          "attribute cardinalities");
+    }
+  }
   assignment_ = cp.assignment;
   counts_ = cp.counts;
   sums_ = cp.sums;
@@ -769,15 +867,31 @@ Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
   drift_ = cp.drift;
   max_step_sum_ = cp.max_step_sum;
   cat_rem_delta_ = cp.cat_rem_delta;
-  cat_ins_delta_ = cp.cat_ins_delta;
+  cat_ins_delta_.resize(cp.cat_ins_delta.size());
+  for (size_t a = 0; a < cp.cat_ins_delta.size(); ++a) {
+    const size_t m =
+        static_cast<size_t>(sensitive_->categorical[a].cardinality);
+    std::vector<double>& dst = cat_ins_delta_[a];
+    dst.resize(k * m);
+    for (size_t c = 0; c < k; ++c) {
+      for (size_t v = 0; v < m; ++v) {
+        dst[v * k + c] = cp.cat_ins_delta[a][c * m + v];
+      }
+    }
+  }
   fair_rem_bound_ = cp.fair_rem_bound;
   fair_ins_bound_ = cp.fair_ins_bound;
   ins_best_ = cp.ins_best;
   ins_second_ = cp.ins_second;
   ins_best_cluster_ = cp.ins_best_cluster;
+  // The restored tables are the checkpoint's synced ones.
+  fair_dirty_.assign(track_bounds_ ? static_cast<size_t>(k_) : 0, 0);
+  fair_dirty_count_ = 0;
   addf_best_ = cp.addf_best;
   addf_second_ = cp.addf_second;
   addf_best_cluster_ = cp.addf_best_cluster;
+  RebuildLaneMirrors();
+  SyncAllKMeansFactors();
   return Status::OK();
 }
 
@@ -899,11 +1013,21 @@ void FairKMState::Move(size_t i, int to) {
   sum_norms_[static_cast<size_t>(to)] = kernels::Dot(to_sums, to_sums, stride_);
   --counts_[static_cast<size_t>(from)];
   ++counts_[static_cast<size_t>(to)];
+  SyncLaneCluster(static_cast<size_t>(from));
+  SyncLaneCluster(static_cast<size_t>(to));
+  if (!use_snapshot_) {
+    SyncKMeansFactors(static_cast<size_t>(from));
+    SyncKMeansFactors(static_cast<size_t>(to));
+  }
+  const size_t k = static_cast<size_t>(k_);
   for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
     const auto& attr = sensitive_->categorical[a];
     const int32_t v = attr.codes[i];
     --moments_.cat_counts[a][static_cast<size_t>(from) * attr.cardinality + v];
     ++moments_.cat_counts[a][static_cast<size_t>(to) * attr.cardinality + v];
+    double* lane = lane_counts_[a].data() + static_cast<size_t>(v) * k;
+    lane[from] -= 1.0;
+    lane[to] += 1.0;
     RecomputeCatMoments(a, from);
     RecomputeCatMoments(a, to);
   }
@@ -915,12 +1039,11 @@ void FairKMState::Move(size_t i, int to) {
   assignment_[i] = static_cast<int32_t>(to);
 
   // Fairness move bounds only change for the two clusters whose group
-  // counts moved; the insertion best/second pair and (in live mode) the
-  // addition factors are O(k) rescans.
+  // counts moved: mark them for the next SyncFairBounds. The addition
+  // factors (live mode) are an O(k) rescan.
   if (track_bounds_) {
-    RecomputeFairBounds(from);
-    RecomputeFairBounds(to);
-    RescanInsertionBounds();
+    MarkFairBoundsDirty(static_cast<size_t>(from));
+    MarkFairBoundsDirty(static_cast<size_t>(to));
     if (!use_snapshot_) RescanAdditionFactors();
   }
 }
@@ -1009,7 +1132,11 @@ data::Matrix FairKMState::Centroids() const {
 
 void FairKMState::EnablePrototypeSnapshot(bool enable) {
   use_snapshot_ = enable;
-  if (enable) RefreshPrototypes();
+  if (enable) {
+    RefreshPrototypes();
+  } else {
+    SyncAllKMeansFactors();
+  }
 }
 
 void FairKMState::RefreshPrototypes() {
@@ -1046,6 +1173,7 @@ void FairKMState::RefreshPrototypes() {
   proto_counts_ = counts_;
   proto_sums_ = sums_;
   proto_sum_norms_ = sum_norms_;
+  if (use_snapshot_) SyncAllKMeansFactors();
   if (track_bounds_ && use_snapshot_) RescanAdditionFactors();
 }
 

@@ -8,12 +8,21 @@
 //     expanded-form K-Means delta caches),
 //   * per (attribute, cluster) fairness moments sum_s u_s^2 and
 //     sum_s u_s q_s, where u_s = |C_s| - |C| Fr_X(s) and q_s = Fr_X(s),
-// and computes the exact change of both objective terms for a candidate move
-// of one point in O(d) (K-Means term) + O(|S|) (fairness term, one scalar
-// expression per attribute) instead of the original O(d) + O(sum_S m_S)
-// two-loop evaluation. The batched DeltaKMeansAllClusters kernel evaluates
-// every candidate cluster for one point in a single contiguous pass over the
-// k x stride sums matrix, which is what the optimizer sweep uses.
+// and computes the exact change of both objective terms for every candidate
+// move of one point in two batched passes, which is what the optimizer
+// sweep runs:
+//   * DeltaKMeansAllClusters: one contiguous GEMV over the k x stride sums
+//     matrix (O(k d));
+//   * DeltaFairnessAllClusters: the origin-cluster (removal) half of the
+//     fairness delta priced once per point, then the insertion half of all k
+//     candidates as contiguous lanes of the kernels::FairDeltaLanes kernel
+//     (O(k |S|), one closed-form expression per attribute and cluster),
+//     reading value-major mirrors of the count table ([a][v * k + c], as
+//     doubles) and per-cluster size / ClusterScale rows that Move and every
+//     rebuild keep in sync. Each lane is bit-identical to the per-candidate
+//     formula (tests/testlib's OracleDeltaFairness).
+// The original O(d) + O(sum_S m_S) two-loop evaluation stays as the
+// ReferenceDelta* oracles.
 //
 // Hot-path storage is the aligned, lane-padded layout of
 // data/point_store.h: every state reads its rows from a PointStore
@@ -51,11 +60,13 @@
 //     instead);
 //   * monotone count-based fairness move bounds: per (attribute, cluster,
 //     value) removal/insertion delta tables (the CatDeltaBounds kernel,
-//     recomputed only for clusters whose group counts moved) whose row
-//     minima give, per cluster, a lower bound on the fairness-term change of
-//     removing *any* point from it / inserting *any* point into it — and
-//     whose entries give the *exact* per-candidate fairness delta by table
-//     lookup (FairRemovalDelta / FairInsertionDelta);
+//     recomputed only for clusters whose group counts moved, and only when
+//     the tables are next read) whose row minima give, per cluster, a lower
+//     bound on the fairness-term change of removing *any* point from it /
+//     inserting *any* point into it — and whose entries give the *exact* per-candidate fairness delta by table
+//     lookup (FairRemovalDelta; FairInsertionDeltaAllClusters reads the
+//     insertion table value-major, [a][v * k + c], so one point's k
+//     candidates are one contiguous row per attribute);
 //   * the best/second-best insertion bound and smallest K-Means addition
 //     factor |C|/(|C|+1) across clusters, so the pruning gate's first stage
 //     is O(1) per point.
@@ -64,6 +75,13 @@
 // ReferenceDeltaFairness: property tests cross-validate the optimized
 // kernels against them and against scratch recomputation to 1e-9, and the
 // scaling bench uses them as the "before" timing baseline.
+//
+// Lane mirrors and checkpoints: the value-major count / size / scale rows
+// are derived state, rebuilt from the integer counts on Reset,
+// RebuildFromStore, RefreshDatasetStats and RestoreCheckpoint. The
+// insertion table is held value-major only; SaveCheckpoint /
+// RestoreCheckpoint transpose it so Checkpoint::cat_ins_delta (and the
+// on-disk checkpoint format) stays cluster-major.
 
 #ifndef FAIRKM_CORE_FAIRKM_STATE_H_
 #define FAIRKM_CORE_FAIRKM_STATE_H_
@@ -74,6 +92,7 @@
 
 #include "cluster/types.h"
 #include "common/status.h"
+#include "core/kernels/kernels.h"
 #include "core/objective.h"
 #include "data/matrix.h"
 #include "data/point_store.h"
@@ -132,6 +151,7 @@ class FairKMState {
     bool track_bounds = false;
     std::vector<double> drift;
     double max_step_sum = 0.0;
+    /// Cluster-major, [a][c * m_a + v] (the on-disk layout).
     std::vector<std::vector<double>> cat_rem_delta, cat_ins_delta;
     std::vector<double> fair_rem_bound, fair_ins_bound;
     double ins_best = 0.0, ins_second = 0.0;
@@ -206,9 +226,14 @@ class FairKMState {
   /// either way.
   void DeltaKMeansAllClusters(size_t i, double* out, double* dists) const;
 
-  /// \brief Exact change of the fairness deviation term for the same move,
-  /// in O(1) per sensitive attribute (see the header comment derivation).
-  double DeltaFairness(size_t i, int to) const;
+  /// \brief Batched fairness deltas: fills `out[c]` with the exact change
+  /// of the fairness deviation term if point i moved to cluster c, for every
+  /// cluster (`out` has room for k() doubles; out[cluster_of(i)] = 0). The
+  /// removal half prices once per point; the insertion halves run as k
+  /// contiguous lanes (kernels::FairDeltaLanes), each lane bit-identical to
+  /// the per-candidate O(1)-per-attribute formula. Uses per-state scratch:
+  /// drive it from the session's thread only.
+  void DeltaFairnessAllClusters(size_t i, double* out) const;
 
   /// \brief The live out-of-sample scorer: the non-empty cluster minimizing
   /// the Eq. 1 insertion cost of point `x` (d() features),
@@ -286,10 +311,22 @@ class FairKMState {
   size_t effective_count(int c) const {
     return (use_snapshot_ ? proto_counts_ : counts_)[static_cast<size_t>(c)];
   }
+  /// \brief K-Means factors of the effective counts |C|: the row of
+  /// |C|/(|C|+1), the SSE cost factor of adding a point (0 when empty), and
+  /// cluster c's |C|/(|C|-1), the SSE gain factor of removing one (0 when
+  /// |C| <= 1). Re-derived only when an effective count changes, so the
+  /// sweep and the pruning gate divide once per count change rather than
+  /// once per candidate.
+  const double* addition_factors() const { return eff_addf_.data(); }
+  double removal_factor(int c) const {
+    return eff_remf_[static_cast<size_t>(c)];
+  }
 
   /// \brief Monotone cumulative drift (Euclidean centroid displacement) of
   /// cluster c's effective centroid.
   double cluster_drift(int c) const { return drift_[static_cast<size_t>(c)]; }
+  /// \brief All k drift accumulators as one row.
+  const double* cluster_drifts() const { return drift_.data(); }
   /// \brief Monotone cumulative sum of per-event maximum centroid steps
   /// (each Move / prototype refresh contributes the largest single-cluster
   /// displacement it caused). For ANY cluster, the drift accumulated between
@@ -311,41 +348,50 @@ class FairKMState {
   /// fair_removal_bound(from) this lower-bounds the full fairness change of
   /// any move out of `from`; the two halves stay separate so the pruning
   /// gate's rounding margin can see their pre-cancellation magnitudes.
-  double FairInsertionLowerBoundExcluding(int from) const;
+  double FairInsertionLowerBoundExcluding(int from) const {
+    FAIRKM_DCHECK(track_bounds_);
+    SyncFairBounds();
+    return ins_best_cluster_ == from ? ins_second_ : ins_best_;
+  }
 
   /// \brief Smallest K-Means addition factor |C|/(|C|+1) over candidate
   /// target clusters c != from (0 when some candidate cluster is empty),
   /// against the effective counts.
-  double MinAdditionFactorExcluding(int from) const;
+  double MinAdditionFactorExcluding(int from) const {
+    FAIRKM_DCHECK(track_bounds_);
+    return addf_best_cluster_ == from ? addf_second_ : addf_best_;
+  }
 
-  /// \brief Per-cluster fairness move bounds (tests/testlib introspection).
+  /// \brief Per-cluster fairness move bounds.
   double fair_removal_bound(int c) const {
+    SyncFairBounds();
     return fair_rem_bound_[static_cast<size_t>(c)];
   }
   double fair_insertion_bound(int c) const {
+    SyncFairBounds();
     return fair_ins_bound_[static_cast<size_t>(c)];
   }
 
   /// \brief Exact fairness-term change of removing point i from its current
   /// cluster, in O(|S|) table lookups (bound tracking only). The sum
-  /// FairRemovalDelta(i) + FairInsertionDelta(i, c) equals DeltaFairness(i,
-  /// c) up to summation-order rounding — the pruning gate's stage 2 uses
-  /// this split so the shared removal part prices once per point.
+  /// FairRemovalDelta(i) + FairInsertionDeltaAllClusters(i)[c] equals
+  /// DeltaFairnessAllClusters(i)[c] up to summation-order rounding — the
+  /// pruning gate's stage 2 uses this split so the shared removal part
+  /// prices once per point.
   double FairRemovalDelta(size_t i) const;
 
-  /// \brief Exact fairness-term change of inserting point i into cluster c
-  /// (its removal not included), in O(|S|) table lookups.
-  double FairInsertionDelta(size_t i, int c) const;
+  /// \brief Fills `out[c]` (room for k() doubles) with the exact
+  /// fairness-term change of inserting point i into cluster c (its removal
+  /// not included), for every cluster: one contiguous row sum per attribute
+  /// over the value-major insertion table (bound tracking only).
+  void FairInsertionDeltaAllClusters(size_t i, double* out) const;
 
   // --- Model export (the serving tier's frozen-snapshot path, src/serve/).
 
-  /// \brief Copy-out of the live fairness moment tables (core/objective.h)
-  /// for a frozen model snapshot: the exact doubles BestInsertion prices
-  /// with, so serve::AssignRows evaluating FairnessInsertionDelta over the
-  /// copy reproduces the live insertion delta bit-for-bit.
-  void ExportFairnessMoments(FairnessMomentTables* out) const {
-    *out = moments_;
-  }
+  /// \brief The live fairness moment tables (core/objective.h): the exact
+  /// doubles BestInsertion prices with, so a frozen model snapshot's copy
+  /// makes serve::AssignRows reproduce the live insertion delta bit-for-bit.
+  const FairnessMomentTables& fairness_moments() const { return moments_; }
 
   /// \brief Padded row width of the k x stride cluster-sum matrix.
   size_t stride() const { return stride_; }
@@ -353,6 +399,8 @@ class FairKMState {
   const data::AlignedVector& cluster_sums() const { return sums_; }
   /// \brief The fairness-term configuration the aggregates were built under.
   const FairnessTermConfig& config() const { return config_; }
+  /// \brief The sensitive view the aggregates count.
+  const data::SensitiveView& sensitive() const { return *sensitive_; }
 
  private:
   FairKMState(std::shared_ptr<const data::PointStore> store,
@@ -365,12 +413,35 @@ class FairKMState {
   // exact integer counts. O(m_a).
   void RecomputeCatMoments(size_t a, int c);
 
+  // Rebuilds every lane mirror (value-major counts, sizes, scale rows) from
+  // counts_ / moments_.cat_counts. O(k sum_S m_S).
+  void RebuildLaneMirrors();
+  // Re-derives cluster c's size and ClusterScale lane entries. O(1).
+  void SyncLaneCluster(size_t c);
+  // Re-derives the effective-count K-Means factor rows (eff_*_) of one
+  // cluster / of every cluster from the effective counts.
+  void SyncKMeansFactors(size_t c);
+  void SyncAllKMeansFactors();
+
   // Recomputes cluster c's per-value removal/insertion delta tables (the
   // CatDeltaBounds kernel) and folds their minima plus the numeric-attribute
-  // pieces into fair_rem_bound_/fair_ins_bound_. O(sum_S m_S).
-  void RecomputeFairBounds(int c);
+  // pieces into fair_rem_bound_/fair_ins_bound_. O(sum_S m_S). A pure
+  // function of cluster c's current counts and moments.
+  void RecomputeFairBounds(int c) const;
   // Rescans the per-cluster insertion bounds for the best/second-best pair.
-  void RescanInsertionBounds();
+  void RescanInsertionBounds() const;
+  // The fairness bound tables are re-derived lazily: Move only marks its two
+  // clusters dirty, and every reader of the tables calls SyncFairBounds(),
+  // which recomputes the dirty clusters and rescans the insertion pair. The
+  // tables are a pure function of the current counts, so a read sees
+  // exactly the values an eager recompute after every Move would have left,
+  // while moves between reads (a sweep over points whose pruner bounds are
+  // stale) skip the recompute altogether.
+  void SyncFairBounds() const {
+    if (fair_dirty_count_ != 0) FlushFairBounds();
+  }
+  void FlushFairBounds() const;
+  void MarkFairBoundsDirty(size_t c);
   // Rescans the effective counts for the smallest two addition factors.
   void RescanAdditionFactors();
   // Adds one drift event: per-cluster displacements (any may be 0) plus
@@ -405,6 +476,18 @@ class FairKMState {
   // U2/UQ are recomputed for the two touched clusters on Move.
   FairnessMomentTables moments_;
 
+  // Lane mirrors for DeltaFairnessAllClusters (see the header comment):
+  // lane_counts_[a][v * k + c] = moments_.cat_counts[a][c * m_a + v] as an
+  // exact double (counts stay below 2^53), lane_sizes_[c] = |C_c|, and
+  // lane_scale_{before,after}_[c] = ClusterScale(|C_c|), ClusterScale(|C_c|+1).
+  std::vector<std::vector<double>> lane_counts_;
+  std::vector<double> lane_sizes_;
+  std::vector<double> lane_scale_before_;
+  std::vector<double> lane_scale_after_;
+  // Per-point kernel descriptors (scratch; see DeltaFairnessAllClusters).
+  mutable std::vector<kernels::FairCatLane> cat_lanes_;
+  mutable std::vector<kernels::FairNumLane> num_lanes_;
+
   // K-Means delta caches: ||x_i||^2 (immutable) and ||S_c||^2 (recomputed
   // for the two touched clusters on Move).
   std::vector<double> point_norms_;
@@ -412,6 +495,11 @@ class FairKMState {
   double total_point_norm_ = 0.0;  // sum_i ||x_i||^2 (immutable).
 
   bool use_snapshot_ = false;
+  // Per-cluster factors of the effective counts: 1/|C|, |C|/(|C|+1) and
+  // |C|/(|C|-1) (0 where undefined), see addition_factors().
+  std::vector<double> eff_inv_;
+  std::vector<double> eff_addf_;
+  std::vector<double> eff_remf_;
   std::vector<size_t> proto_counts_;
   data::AlignedVector proto_sums_;
   std::vector<double> proto_sum_norms_;
@@ -422,20 +510,27 @@ class FairKMState {
   std::vector<double> drift_;            // Cumulative centroid drift.
   double max_step_sum_ = 0.0;            // Sum of per-event max steps.
   uint64_t bound_epoch_ = 0;             // See bound_epoch().
-  // Per-(attribute, cluster, value) fairness move-delta tables
-  // (cat_*_delta_[a][c * m_a + v], weighted by w_a * norm_a), the
-  // CatDeltaBounds kernel output.
-  std::vector<std::vector<double>> cat_rem_delta_;
-  std::vector<std::vector<double>> cat_ins_delta_;
+  // The fairness bound tables below are mutable: const readers bring them
+  // up to date through SyncFairBounds() (a cache of the counts, never
+  // state of its own; the state is driven from one thread).
+  // Per-(attribute, cluster, value) fairness move-delta tables, weighted by
+  // w_a * norm_a, the CatDeltaBounds kernel output: removal cluster-major
+  // (cat_rem_delta_[a][c * m_a + v], one lookup per point), insertion
+  // value-major (cat_ins_delta_[a][v * k + c], one row per point).
+  mutable std::vector<std::vector<double>> cat_rem_delta_;
+  mutable std::vector<std::vector<double>> cat_ins_delta_;
   // Scratch rows for the kernel (un-weighted), sized max_a m_a.
-  std::vector<double> delta_scratch_rem_;
-  std::vector<double> delta_scratch_ins_;
+  mutable std::vector<double> delta_scratch_rem_;
+  mutable std::vector<double> delta_scratch_ins_;
   // Per-cluster fairness move bounds (summed over attributes, weighted).
-  std::vector<double> fair_rem_bound_;
-  std::vector<double> fair_ins_bound_;
+  mutable std::vector<double> fair_rem_bound_;
+  mutable std::vector<double> fair_ins_bound_;
   // Best/second-best insertion bound and the best's cluster.
-  double ins_best_ = 0.0, ins_second_ = 0.0;
-  int ins_best_cluster_ = -1;
+  mutable double ins_best_ = 0.0, ins_second_ = 0.0;
+  mutable int ins_best_cluster_ = -1;
+  // Clusters whose tables a Move left stale, and how many.
+  mutable std::vector<uint8_t> fair_dirty_;
+  mutable size_t fair_dirty_count_ = 0;
   // Smallest/second-smallest addition factor and the smallest's cluster,
   // over the effective counts.
   double addf_best_ = 0.0, addf_second_ = 0.0;

@@ -27,6 +27,12 @@
 //     FMA contraction (the kernel TUs build with -ffp-contract=off), so the
 //     fairness aggregates — and therefore the optimizer trajectory of the
 //     fairness term — do not depend on the dispatched backend.
+//   * FairDeltaLanes and PruneGateLanes are BIT-FOR-BIT identical across
+//     backends: each lane runs the scalar expression (for FairDeltaLanes the
+//     core/objective.h insertion formula) with the same separate mul/add
+//     sequence, so the sweep's fairness deltas and pruning verdicts — and
+//     its trajectory and pruned counts — do not depend on the dispatched
+//     backend.
 //   * SilhouetteSums is BIT-FOR-BIT identical across backends too: every
 //     probe-row distance sums its squared differences in ascending dimension
 //     order (separate multiply and add, no FMA), and every per-cluster sum
@@ -42,6 +48,47 @@
 namespace fairkm {
 namespace core {
 namespace kernels {
+
+/// \brief One categorical attribute's inputs to Backend::FairDeltaLanes
+/// for one point whose value on the attribute is v: k-lane rows (one entry
+/// per candidate cluster) plus the attribute's per-point constants.
+struct FairCatLane {
+  const double* u2;       ///< [k] sum_s u_s^2 of each cluster.
+  const double* uq;       ///< [k] sum_s u_s q_s of each cluster.
+  const double* count_v;  ///< [k] each cluster's count of value v.
+  double q2;              ///< sum_s q_s^2 (dataset constant).
+  double q_v;             ///< Dataset fraction of value v.
+  double weight;          ///< w_a * norm_a (Eqs. 4 and 23).
+  double removal;         ///< The origin-cluster half, priced once.
+};
+
+/// \brief One numeric attribute's inputs to Backend::FairDeltaLanes.
+struct FairNumLane {
+  const double* sums;  ///< [k] each cluster's value sum.
+  double mean;         ///< Dataset mean.
+  double x;            ///< The point's value.
+  double weight;       ///< w_a.
+  double removal;      ///< The origin-cluster half, priced once.
+};
+
+/// \brief Inputs of Backend::PruneGateLanes for one point: k-lane rows over
+/// the candidate clusters plus the point's scalars (core/pruning.h).
+struct PruneGateInput {
+  const double* lb0;        ///< [k] distance to each centroid at refresh.
+  const double* drift_ref;  ///< [k] each cluster's drift at refresh.
+  const double* drift;      ///< [k] each cluster's drift now.
+  const double* addf;       ///< [k] |C|/(|C|+1) (0 for an empty cluster).
+  const double* insertion;  ///< [k] fairness insertion deltas (un-scaled).
+  size_t k;
+  size_t from;              ///< The point's own cluster (never a candidate).
+  double lambda;
+  double removal_ub;        ///< K-Means removal gain upper bound.
+  double fair_removal;      ///< lambda * fairness removal delta.
+  double point_norm;        ///< ||x||^2, for the rounding margin.
+  double rel_slack;         ///< Margin: rel_slack * (magnitudes) + abs_slack.
+  double abs_slack;
+  double threshold;         ///< -min_improvement.
+};
 
 /// \brief One kernel implementation set. All pointers are non-null.
 struct Backend {
@@ -91,6 +138,37 @@ struct Backend {
                          double scale_rem_after, double scale_ins_after,
                          double* rem, double* ins, double* rem_min,
                          double* ins_min);
+
+  /// Batched fairness move deltas of one point against all k clusters
+  /// (lanes c = 0..k-1): with the per-cluster size, ClusterScale(size) and
+  /// ClusterScale(size + 1) rows `sizes`, `scale_before`, `scale_after`,
+  ///   out[c] = sum_a cat[a].weight * (cat[a].removal + CatInsertionTerm(
+  ///              u2[c], uq[c], q2, count_v[c], sizes[c], q_v,
+  ///              scale_before[c], scale_after[c]))
+  ///          + sum_a num[a].weight * (num[a].removal + NumInsertionTerm(
+  ///              sums[c], sizes[c], mean, x, scale_before[c],
+  ///              scale_after[c]))
+  /// (core/objective.h), accumulated from 0.0 in attribute order,
+  /// categorical first. Every lane runs the scalar operation sequence
+  /// exactly (separate mul/add, no FMA), so each out[c] is bit-for-bit
+  /// backend-independent and equal to the per-candidate formula.
+  void (*FairDeltaLanes)(const FairCatLane* cat, size_t num_cat,
+                         const FairNumLane* num, size_t num_num,
+                         const double* sizes, const double* scale_before,
+                         const double* scale_after, size_t k, double* out);
+
+  /// The pruning gate's per-candidate stage (core/pruning.h): true when
+  /// some candidate c != from has
+  ///   total - margin < threshold, where
+  ///   lb = lb0[c] - (drift[c] - drift_ref[c]),  lbc = lb > 0 ? lb : 0,
+  ///   a = addf[c] * lbc * lbc,  f = lambda * insertion[c],
+  ///   total = a - removal_ub + fair_removal + f,
+  ///   margin = rel_slack * (a + removal_ub + |fair_removal| + |f| +
+  ///            point_norm) + abs_slack
+  /// (left-to-right association). Elementwise with separate mul/add, so
+  /// every lane, and therefore the verdict, is bit-for-bit
+  /// backend-independent.
+  bool (*PruneGateLanes)(const PruneGateInput& in);
 
   /// Silhouette distance sums for one tile of `num_probes` (1..8) probe
   /// rows: for every row i of the row-major rows x cols matrix `mat`, in
@@ -159,6 +237,18 @@ inline void CatDeltaBounds(const int64_t* counts, const double* fractions,
   ActiveBackend().CatDeltaBounds(counts, fractions, m, size, u2, uq, q2,
                                  scale_before, scale_rem_after,
                                  scale_ins_after, rem, ins, rem_min, ins_min);
+}
+
+inline bool PruneGateLanes(const PruneGateInput& in) {
+  return ActiveBackend().PruneGateLanes(in);
+}
+
+inline void FairDeltaLanes(const FairCatLane* cat, size_t num_cat,
+                           const FairNumLane* num, size_t num_num,
+                           const double* sizes, const double* scale_before,
+                           const double* scale_after, size_t k, double* out) {
+  ActiveBackend().FairDeltaLanes(cat, num_cat, num, num_num, sizes,
+                                 scale_before, scale_after, k, out);
 }
 
 }  // namespace kernels

@@ -7,8 +7,9 @@
 // scalar backend; callers tolerate 1e-9). CatMoments deliberately avoids FMA
 // and mirrors the scalar backend's 4-lane blocked accumulation and reduction
 // tree exactly, so the fairness moments are bit-for-bit backend-independent.
-// SilhouetteSums likewise avoids FMA and keeps the scalar per-distance and
-// per-sum orders, so it is bit-for-bit backend-independent as well.
+// SilhouetteSums and FairDeltaLanes likewise avoid FMA and keep the scalar
+// per-lane operation orders, so they are bit-for-bit backend-independent
+// as well.
 
 #include "core/kernels/kernels.h"
 
@@ -16,7 +17,10 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <limits>
+
+#include "core/objective.h"
 
 namespace fairkm {
 namespace core {
@@ -203,6 +207,141 @@ void CatDeltaBoundsAvx2(const int64_t* counts, const double* fractions,
   *ins_min = m == 0 ? 0.0 : imin;
 }
 
+// Four candidate clusters per vector. Each lane replays
+// FairDeltaLanesScalar's sequence — CatInsertionTerm / NumInsertionTerm
+// (core/objective.h), then weight * (removal + term) added into the lane's
+// running delta — as separate mul/add/sub intrinsics (this TU builds with
+// -ffp-contract=off), so every lane matches the scalar backend bit for bit.
+// Lanes past the last full vector run the scalar helpers directly.
+void FairDeltaLanesAvx2(const FairCatLane* cat, size_t num_cat,
+                        const FairNumLane* num, size_t num_num,
+                        const double* sizes, const double* scale_before,
+                        const double* scale_after, size_t k, double* out) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d two = _mm256_set1_pd(2.0);
+  size_t c = 0;
+  for (; c + 4 <= k; c += 4) {
+    const __m256d size = _mm256_loadu_pd(sizes + c);
+    const __m256d sb = _mm256_loadu_pd(scale_before + c);
+    const __m256d sa = _mm256_loadu_pd(scale_after + c);
+    __m256d delta = _mm256_setzero_pd();
+    for (size_t a = 0; a < num_cat; ++a) {
+      const FairCatLane& l = cat[a];
+      const __m256d u2 = _mm256_loadu_pd(l.u2 + c);
+      const __m256d q_v = _mm256_set1_pd(l.q_v);
+      // u_v = count_v - size * q_v.
+      const __m256d u_v = _mm256_sub_pd(_mm256_loadu_pd(l.count_v + c),
+                                        _mm256_mul_pd(size, q_v));
+      // after = u2 + q2 + 1 - 2 * (uq - u_v + q_v).
+      const __m256d after = _mm256_sub_pd(
+          _mm256_add_pd(_mm256_add_pd(u2, _mm256_set1_pd(l.q2)), one),
+          _mm256_mul_pd(two, _mm256_add_pd(
+                                 _mm256_sub_pd(_mm256_loadu_pd(l.uq + c), u_v),
+                                 q_v)));
+      const __m256d term =
+          _mm256_sub_pd(_mm256_mul_pd(sa, after), _mm256_mul_pd(sb, u2));
+      delta = _mm256_add_pd(
+          delta, _mm256_mul_pd(_mm256_set1_pd(l.weight),
+                               _mm256_add_pd(_mm256_set1_pd(l.removal), term)));
+    }
+    for (size_t a = 0; a < num_num; ++a) {
+      const FairNumLane& l = num[a];
+      const __m256d mean = _mm256_set1_pd(l.mean);
+      // u = sum - size * mean; u_after = u + x - mean.
+      const __m256d u = _mm256_sub_pd(_mm256_loadu_pd(l.sums + c),
+                                      _mm256_mul_pd(size, mean));
+      const __m256d u_after =
+          _mm256_sub_pd(_mm256_add_pd(u, _mm256_set1_pd(l.x)), mean);
+      const __m256d term =
+          _mm256_sub_pd(_mm256_mul_pd(_mm256_mul_pd(sa, u_after), u_after),
+                        _mm256_mul_pd(_mm256_mul_pd(sb, u), u));
+      delta = _mm256_add_pd(
+          delta, _mm256_mul_pd(_mm256_set1_pd(l.weight),
+                               _mm256_add_pd(_mm256_set1_pd(l.removal), term)));
+    }
+    _mm256_storeu_pd(out + c, delta);
+  }
+  for (; c < k; ++c) {
+    double delta = 0.0;
+    for (size_t a = 0; a < num_cat; ++a) {
+      const FairCatLane& l = cat[a];
+      delta += l.weight *
+               (l.removal + CatInsertionTerm(l.u2[c], l.uq[c], l.q2,
+                                             l.count_v[c], sizes[c], l.q_v,
+                                             scale_before[c], scale_after[c]));
+    }
+    for (size_t a = 0; a < num_num; ++a) {
+      const FairNumLane& l = num[a];
+      delta += l.weight *
+               (l.removal + NumInsertionTerm(l.sums[c], sizes[c], l.mean, l.x,
+                                             scale_before[c], scale_after[c]));
+    }
+    out[c] = delta;
+  }
+}
+
+// Four candidates per vector, each lane replaying PruneGateLanesScalar's
+// operation sequence. _mm256_max_pd(lb, 0) returns its second operand
+// unless lb > 0, which is exactly `lb > 0 ? lb : 0` (NaN and -0.0
+// included); the ordered less-than compare is false on NaN like the scalar
+// `<`. Tail lanes run the scalar expression.
+bool PruneGateLanesAvx2(const PruneGateInput& in) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const __m256d lambda = _mm256_set1_pd(in.lambda);
+  const __m256d removal_ub = _mm256_set1_pd(in.removal_ub);
+  const __m256d fair_removal = _mm256_set1_pd(in.fair_removal);
+  const double fair_removal_mag = std::fabs(in.fair_removal);
+  const __m256d fair_removal_magv = _mm256_set1_pd(fair_removal_mag);
+  const __m256d norm = _mm256_set1_pd(in.point_norm);
+  const __m256d rel = _mm256_set1_pd(in.rel_slack);
+  const __m256d abs_slack = _mm256_set1_pd(in.abs_slack);
+  const __m256d threshold = _mm256_set1_pd(in.threshold);
+  bool might_improve = false;
+  size_t c = 0;
+  for (; c + 4 <= in.k; c += 4) {
+    const __m256d lb = _mm256_sub_pd(
+        _mm256_loadu_pd(in.lb0 + c),
+        _mm256_sub_pd(_mm256_loadu_pd(in.drift + c),
+                      _mm256_loadu_pd(in.drift_ref + c)));
+    const __m256d lbc = _mm256_max_pd(lb, zero);
+    const __m256d addition_lb =
+        _mm256_mul_pd(_mm256_mul_pd(_mm256_loadu_pd(in.addf + c), lbc), lbc);
+    const __m256d fair_insertion =
+        _mm256_mul_pd(lambda, _mm256_loadu_pd(in.insertion + c));
+    const __m256d total = _mm256_add_pd(
+        _mm256_add_pd(_mm256_sub_pd(addition_lb, removal_ub), fair_removal),
+        fair_insertion);
+    const __m256d magnitudes = _mm256_add_pd(
+        _mm256_add_pd(
+            _mm256_add_pd(_mm256_add_pd(addition_lb, removal_ub),
+                          fair_removal_magv),
+            _mm256_andnot_pd(sign, fair_insertion)),
+        norm);
+    const __m256d margin =
+        _mm256_add_pd(_mm256_mul_pd(rel, magnitudes), abs_slack);
+    const __m256d improves = _mm256_cmp_pd(_mm256_sub_pd(total, margin),
+                                           threshold, _CMP_LT_OQ);
+    int bits = _mm256_movemask_pd(improves);  // Bit j: candidate c + j.
+    if (in.from >= c && in.from < c + 4) bits &= ~(1 << (in.from - c));
+    might_improve |= bits != 0;
+  }
+  for (; c < in.k; ++c) {
+    const double lb = in.lb0[c] - (in.drift[c] - in.drift_ref[c]);
+    const double lbc = lb > 0.0 ? lb : 0.0;
+    const double addition_lb = in.addf[c] * lbc * lbc;
+    const double fair_insertion = in.lambda * in.insertion[c];
+    const double total =
+        addition_lb - in.removal_ub + in.fair_removal + fair_insertion;
+    const double margin =
+        in.rel_slack * (addition_lb + in.removal_ub + fair_removal_mag +
+                        std::fabs(fair_insertion) + in.point_norm) +
+        in.abs_slack;
+    might_improve |= (total - margin < in.threshold) & (c != in.from);
+  }
+  return might_improve;
+}
+
 // One row's squared differences against the 8-lane probe tile at dimension
 // j, added into the row's two accumulators (lanes 0-3 and 4-7): sub, mul,
 // add as three separate roundings, exactly as SilhouetteSumsScalar does it.
@@ -282,6 +421,7 @@ void SilhouetteSumsAvx2(const double* const* probes, size_t num_probes,
 const Backend kAvx2Backend = {"avx2-fma",      DotAvx2,
                               GemvAvx2,        GemvAlignedAvx2,
                               CatMomentsAvx2,  CatDeltaBoundsAvx2,
+                              FairDeltaLanesAvx2, PruneGateLanesAvx2,
                               SilhouetteSumsAvx2};
 
 }  // namespace

@@ -7,6 +7,8 @@
 
 #include <cmath>
 
+#include "core/objective.h"
+
 namespace fairkm {
 namespace core {
 namespace kernels {
@@ -89,6 +91,51 @@ void CatDeltaBoundsScalar(const int64_t* counts, const double* fractions,
   *ins_min = imin;
 }
 
+// Lane by lane, attribute by attribute: the per-candidate fairness delta of
+// each cluster through the shared core/objective.h insertion formula.
+void FairDeltaLanesScalar(const FairCatLane* cat, size_t num_cat,
+                          const FairNumLane* num, size_t num_num,
+                          const double* sizes, const double* scale_before,
+                          const double* scale_after, size_t k, double* out) {
+  for (size_t c = 0; c < k; ++c) {
+    double delta = 0.0;
+    for (size_t a = 0; a < num_cat; ++a) {
+      const FairCatLane& l = cat[a];
+      delta += l.weight *
+               (l.removal + CatInsertionTerm(l.u2[c], l.uq[c], l.q2,
+                                             l.count_v[c], sizes[c], l.q_v,
+                                             scale_before[c], scale_after[c]));
+    }
+    for (size_t a = 0; a < num_num; ++a) {
+      const FairNumLane& l = num[a];
+      delta += l.weight *
+               (l.removal + NumInsertionTerm(l.sums[c], sizes[c], l.mean, l.x,
+                                             scale_before[c], scale_after[c]));
+    }
+    out[c] = delta;
+  }
+}
+
+// Candidate by candidate, branch-free (no early exit).
+bool PruneGateLanesScalar(const PruneGateInput& in) {
+  const double fair_removal_mag = std::fabs(in.fair_removal);
+  bool might_improve = false;
+  for (size_t c = 0; c < in.k; ++c) {
+    const double lb = in.lb0[c] - (in.drift[c] - in.drift_ref[c]);
+    const double lbc = lb > 0.0 ? lb : 0.0;
+    const double addition_lb = in.addf[c] * lbc * lbc;
+    const double fair_insertion = in.lambda * in.insertion[c];
+    const double total =
+        addition_lb - in.removal_ub + in.fair_removal + fair_insertion;
+    const double margin =
+        in.rel_slack * (addition_lb + in.removal_ub + fair_removal_mag +
+                        std::fabs(fair_insertion) + in.point_norm) +
+        in.abs_slack;
+    might_improve |= (total - margin < in.threshold) & (c != in.from);
+  }
+  return might_improve;
+}
+
 // Probe by probe, row by row: the plain silhouette distance loop. Each
 // distance accumulates (a - b)^2 over ascending j; the AVX2 backend keeps
 // that per-lane order, so the sums match bit for bit.
@@ -113,6 +160,7 @@ void SilhouetteSumsScalar(const double* const* probes, size_t num_probes,
 const Backend kScalarBackend = {"scalar",         DotScalar,
                                 GemvScalar,       GemvAlignedScalar,
                                 CatMomentsScalar, CatDeltaBoundsScalar,
+                                FairDeltaLanesScalar, PruneGateLanesScalar,
                                 SilhouetteSumsScalar};
 
 }  // namespace

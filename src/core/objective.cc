@@ -12,22 +12,8 @@ namespace core {
 // with scale(c) = 1/n^2 for W(c) = (c/n)^2, 1/(n c) for W(c) = c/n and 1/c^2
 // for W(c) = 1. The same holds for numeric attributes (Eq. 22) with
 // u = sum_{X in C} X.S - c * mean_X(S). This count-based form is what both
-// the scratch evaluation below and the O(1)/O(m) move deltas rely on.
-double ClusterScale(ClusterWeighting weighting, size_t cluster_size, size_t num_rows) {
-  if (cluster_size == 0) return 0.0;
-  const double n = static_cast<double>(num_rows);
-  const double c = static_cast<double>(cluster_size);
-  switch (weighting) {
-    case ClusterWeighting::kSquaredFraction:
-      return 1.0 / (n * n);
-    case ClusterWeighting::kFractional:
-      return 1.0 / (n * c);
-    case ClusterWeighting::kUnweighted:
-      return 1.0 / (c * c);
-  }
-  return 0.0;
-}
-
+// the scratch evaluation below and the O(1)/O(m) move deltas rely on;
+// ClusterScale (objective.h) implements scale(c).
 double ComputeFairnessTerm(const data::SensitiveView& sensitive,
                            const cluster::Assignment& assignment, int k,
                            const FairnessTermConfig& config) {

@@ -64,9 +64,52 @@ ObjectiveValue ComputeObjective(const data::Matrix& points,
                                 const FairnessTermConfig& config = {});
 
 /// \brief Per-cluster scale factor applied to sum_s u_s^2 where
-/// u_s = |C_s| - |C| * Fr_X(s); see fairkm_state.cc for the derivation.
-/// Returns 0 for empty clusters.
-double ClusterScale(ClusterWeighting weighting, size_t cluster_size, size_t num_rows);
+/// u_s = |C_s| - |C| * Fr_X(s): 1/n^2 for W(c) = (c/n)^2, 1/(n c) for
+/// W(c) = c/n and 1/c^2 for W(c) = 1 (derivation in objective.cc).
+/// Returns 0 for empty clusters. Inline: the sweep prices it per cluster.
+inline double ClusterScale(ClusterWeighting weighting, size_t cluster_size,
+                           size_t num_rows) {
+  if (cluster_size == 0) return 0.0;
+  const double n = static_cast<double>(num_rows);
+  const double c = static_cast<double>(cluster_size);
+  switch (weighting) {
+    case ClusterWeighting::kSquaredFraction:
+      return 1.0 / (n * n);
+    case ClusterWeighting::kFractional:
+      return 1.0 / (n * c);
+    case ClusterWeighting::kUnweighted:
+      return 1.0 / (c * c);
+  }
+  return 0.0;
+}
+
+/// \brief The one fairness-insertion formula: the change of one categorical
+/// attribute's scaled moment, scale * sum_s u_s^2, when a point with value v
+/// joins a cluster of `size` points (un-weighted, un-normalized). Insertion
+/// sends u_s -> u_s - q_s + [s=v], so the new moment is
+///   U2 + Q2 + 1 - 2 (UQ - u_v + q_v),  u_v = count_v - size q_v
+/// (derivation in core/fairkm_state.h). `count_v` is the cluster's count of
+/// value v, `q_v` its dataset fraction; `scale_before`/`scale_after` are the
+/// ClusterScale of `size` and `size + 1`. Every insertion pricer — the
+/// out-of-sample FairnessInsertionDelta, the sweep's batched delta lanes
+/// (core/kernels) — evaluates this exact operation sequence, so equal
+/// inputs give bit-identical terms.
+inline double CatInsertionTerm(double u2, double uq, double q2, double count_v,
+                               double size, double q_v, double scale_before,
+                               double scale_after) {
+  const double u_v = count_v - size * q_v;
+  const double after = u2 + q2 + 1.0 - 2.0 * (uq - u_v + q_v);
+  return scale_after * after - scale_before * u2;
+}
+
+/// \brief The numeric-attribute counterpart of CatInsertionTerm: with
+/// u = sum - size * mean, inserting value x sends u -> u + x - mean.
+inline double NumInsertionTerm(double sum, double size, double mean, double x,
+                               double scale_before, double scale_after) {
+  const double u = sum - size * mean;
+  const double u_after = u + x - mean;
+  return scale_after * u_after * u_after - scale_before * u * u;
+}
 
 /// \brief The fairness aggregates the incremental deltas read: exact integer
 /// value counts, the U2 = sum_s u_s^2 and UQ = sum_s u_s q_s moments
@@ -83,10 +126,8 @@ struct FairnessMomentTables {
 
 /// \brief Fairness-term change of inserting one out-of-sample point into
 /// cluster `to` (of size `cluster_size`, training-set size `n`): the
-/// target-cluster half of the Eq. 16-19 move delta, in O(1) per attribute.
-/// Insertion sends u_s -> u_s - q_s + [s=v], so the new moment is
-///   U2 + Q2 + 1 - 2 (UQ - u_v + q_v)
-/// (derivation in core/fairkm_state.h). The attribute structure supplies
+/// target-cluster half of the Eq. 16-19 move delta, in O(1) per attribute
+/// (CatInsertionTerm / NumInsertionTerm). The attribute structure supplies
 /// cardinalities, weights and the dataset-level fractions/means that price
 /// the delta; their per-row vectors are not read. `codes` holds one code per
 /// categorical attribute, `values` one value per numeric attribute; either
@@ -102,6 +143,7 @@ inline double FairnessInsertionDelta(
     const double* values, int to) {
   if (categorical.empty() && numeric.empty()) return 0.0;
   const size_t ti = static_cast<size_t>(to);
+  const double size = static_cast<double>(cluster_size);
   const double scale_before = ClusterScale(config.weighting, cluster_size, n);
   const double scale_after =
       ClusterScale(config.weighting, cluster_size + 1, n);
@@ -110,25 +152,20 @@ inline double FairnessInsertionDelta(
     const data::CategoricalSensitive& attr = categorical[a];
     const int m = attr.cardinality;
     const int32_t v = codes[a];
-    const double q_v = attr.dataset_fractions[static_cast<size_t>(v)];
     const double norm =
         config.normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
-    const double u2 = tables.cat_u2[a][ti];
-    const double uq = tables.cat_uq[a][ti];
-    const double u_v =
-        static_cast<double>(tables.cat_counts[a][ti * m + v]) -
-        static_cast<double>(cluster_size) * q_v;
-    const double after = u2 + tables.cat_q2[a] + 1.0 - 2.0 * (uq - u_v + q_v);
-    delta += attr.weight * norm * (scale_after * after - scale_before * u2);
+    delta += attr.weight * norm *
+             CatInsertionTerm(
+                 tables.cat_u2[a][ti], tables.cat_uq[a][ti], tables.cat_q2[a],
+                 static_cast<double>(tables.cat_counts[a][ti * m + v]), size,
+                 attr.dataset_fractions[static_cast<size_t>(v)], scale_before,
+                 scale_after);
   }
   for (size_t a = 0; a < numeric.size(); ++a) {
     const data::NumericSensitive& attr = numeric[a];
-    const double mean = attr.dataset_mean;
-    const double u = tables.num_sums[a][ti] -
-                     static_cast<double>(cluster_size) * mean;
-    const double u_after = u + values[a] - mean;
-    delta += attr.weight *
-             (scale_after * u_after * u_after - scale_before * u * u);
+    delta += attr.weight * NumInsertionTerm(tables.num_sums[a][ti], size,
+                                            attr.dataset_mean, values[a],
+                                            scale_before, scale_after);
   }
   return delta;
 }

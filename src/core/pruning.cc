@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "core/kernels/kernels.h"
+
 namespace fairkm {
 namespace core {
 
@@ -49,7 +51,8 @@ SweepPruner::SweepPruner(const FairKMState* state, double lambda,
     : state_(state),
       lambda_(lambda),
       min_improvement_(min_improvement),
-      k_(static_cast<size_t>(state->k())) {
+      k_(static_cast<size_t>(state->k())),
+      insertion_(k_, 0.0) {
   FAIRKM_DCHECK(state != nullptr && state->bound_tracking());
   const size_t n = state->num_rows();
   lb0_.assign(n * k_, 0.0);
@@ -88,16 +91,18 @@ double SweepPruner::CandidateLowerBound(size_t i, int c) const {
 double SweepPruner::RemovalUpperBound(size_t i, int from) const {
   // Removal gain upper bound: |C|/(|C|-1) * ub^2 (0 for a singleton, whose
   // removal frees no SSE).
-  const size_t c_from = state_->effective_count(from);
-  if (c_from <= 1) return 0.0;
+  if (state_->effective_count(from) <= 1) return 0.0;
   const double ub = UpperBound(i);
-  return static_cast<double>(c_from) / static_cast<double>(c_from - 1) * ub * ub;
+  return state_->removal_factor(from) * ub * ub;
 }
 
 double SweepPruner::GateLowerBound(size_t i) const {
   const int from = state_->cluster_of(i);
-  const double removal_ub = RemovalUpperBound(i, from);
+  return Stage1Bound(i, from, RemovalUpperBound(i, from));
+}
 
+inline double SweepPruner::Stage1Bound(size_t i, int from,
+                                       double removal_ub) const {
   // Addition cost lower bound: the smallest candidate factor times lb^2.
   const double lb = LowerBound(i);
   const double addition_lb = state_->MinAdditionFactorExcluding(from) * lb * lb;
@@ -114,41 +119,43 @@ double SweepPruner::GateLowerBound(size_t i) const {
                             std::fabs(fair_ins), state_->point_norm(i));
 }
 
-bool SweepPruner::ShouldPrune(size_t i) const {
-  if (!IsFresh(i)) return false;
+PruneVerdict SweepPruner::ShouldPrune(size_t i) const {
+  if (!IsFresh(i)) return kEvaluate;
   // Stage 1: the O(1) fully-decoupled gate (cluster-level fairness bounds +
   // the global distance floor). Catches the fairness-balanced steady state
   // cheaply.
-  if (GateLowerBound(i) >= -min_improvement_) return true;
-  // Stage 2: per-candidate gate — the fairness delta is evaluated exactly
-  // from the maintained per-(attribute, cluster, value) tables (the shared
-  // removal part prices once per point, insertion is O(|S|) lookups per
-  // candidate) and the K-Means term is bounded per candidate with the
-  // Elkan-style lb. Still avoids the O(k d) GEMV; this is what bites when
-  // clusters cannot balance every attribute at once and the per-cluster
-  // fairness minima are too pessimistic.
   const int from = state_->cluster_of(i);
   const double removal_ub = RemovalUpperBound(i, from);
-  const double fair_removal = lambda_ * state_->FairRemovalDelta(i);
-  const double norm = state_->point_norm(i);
-  const int k = state_->k();
-  for (int c = 0; c < k; ++c) {
-    if (c == from) continue;
-    const size_t cnt = state_->effective_count(c);
-    const double addf =
-        cnt == 0 ? 0.0
-                 : static_cast<double>(cnt) / static_cast<double>(cnt + 1);
-    const double lbc = CandidateLowerBound(i, c);
-    const double addition_lb = addf * lbc * lbc;
-    const double fair_insertion = lambda_ * state_->FairInsertionDelta(i, c);
-    const double total =
-        addition_lb - removal_ub + fair_removal + fair_insertion;
-    const double margin = GateMargin(addition_lb, removal_ub,
-                                     std::fabs(fair_removal),
-                                     std::fabs(fair_insertion), norm);
-    if (total - margin < -min_improvement_) return false;  // Might improve.
+  if (Stage1Bound(i, from, removal_ub) >= -min_improvement_) {
+    return kPrunedStage1;
   }
-  return true;
+  // Stage 2: per-candidate gate — the fairness delta is evaluated exactly
+  // from the maintained per-(attribute, cluster, value) tables (the shared
+  // removal part prices once per point, all k insertion parts come from one
+  // row sum per attribute) and the K-Means term is bounded per candidate
+  // with the Elkan-style lb. Still avoids the O(k d) GEMV; this is what
+  // bites when clusters cannot balance every attribute at once and the
+  // per-cluster fairness minima are too pessimistic.
+  const double fair_removal = lambda_ * state_->FairRemovalDelta(i);
+  state_->FairInsertionDeltaAllClusters(i, insertion_.data());
+  kernels::PruneGateInput gate;
+  gate.lb0 = lb0_.data() + i * k_;
+  gate.drift_ref = drift_ref_.data() + i * k_;
+  gate.drift = state_->cluster_drifts();
+  gate.addf = state_->addition_factors();
+  gate.insertion = insertion_.data();
+  gate.k = k_;
+  gate.from = static_cast<size_t>(from);
+  gate.lambda = lambda_;
+  gate.removal_ub = removal_ub;
+  gate.fair_removal = fair_removal;
+  gate.point_norm = state_->point_norm(i);
+  gate.rel_slack = kGateRelativeSlack;
+  gate.abs_slack = kGateAbsoluteSlack;
+  gate.threshold = -min_improvement_;
+  // Every candidate's bound is CandidateLowerBound's and its margin
+  // GateMargin's, lane by lane (kernels::PruneGateLanes).
+  return kernels::PruneGateLanes(gate) ? kEvaluate : kPrunedStage2;
 }
 
 void SweepPruner::Refresh(size_t i, const double* dists) {
@@ -179,7 +186,10 @@ void SweepPruner::SaveCheckpoint(Checkpoint* out) const {
 }
 
 Status SweepPruner::RestoreCheckpoint(const Checkpoint& cp) {
-  if (cp.lb0.size() != lb0_.size() || cp.fresh.size() != fresh_.size()) {
+  const size_t n = fresh_.size();
+  if (cp.lb0.size() != lb0_.size() || cp.drift_ref.size() != lb0_.size() ||
+      cp.lbmin0.size() != n || cp.max_drift_ref.size() != n ||
+      cp.fresh.size() != n) {
     return Status::InvalidArgument(
         "pruner checkpoint shape does not match this state's n/k");
   }
@@ -187,9 +197,7 @@ Status SweepPruner::RestoreCheckpoint(const Checkpoint& cp) {
   drift_ref_ = cp.drift_ref;
   lbmin0_ = cp.lbmin0;
   max_drift_ref_ = cp.max_drift_ref;
-  for (size_t i = 0; i < fresh_.size(); ++i) {
-    fresh_[i] = cp.fresh[i] != 0 ? Epoch() : 0;
-  }
+  for (size_t i = 0; i < n; ++i) fresh_[i] = cp.fresh[i] != 0 ? Epoch() : 0;
   return Status::OK();
 }
 

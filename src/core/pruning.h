@@ -12,7 +12,9 @@
 //
 // The gate. A move of point i from its cluster `f` to any candidate c is
 // accepted only when
-//     DeltaKMeans(i, c) + lambda * DeltaFairness(i, c) < -min_improvement.
+//     DeltaKMeans(i, c) + lambda * DeltaFairness(i, c) < -min_improvement
+// (the c-th entries of FairKMState's batched DeltaKMeansAllClusters /
+// DeltaFairnessAllClusters).
 // The K-Means side is bounded Hamerly-style:
 //   * removal gain:   DeltaKMeans >= -|C_f|/(|C_f|-1) * d(i, mu_f)^2 and
 //     d(i, mu_f) <= ub(i), a per-point upper bound refreshed to the exact
@@ -31,9 +33,11 @@
 //     counts and recomputed only for clusters whose counts moved). Bites
 //     when clusters are fairness-balanced (any move un-balances them).
 //   * Stage 2, O(k |S|): per candidate — the fairness delta evaluated
-//     exactly via the O(1)-per-attribute closed form (the very values
-//     ApplyBestMove would use) plus the bounded K-Means term. Still avoids
-//     the O(k d) GEMV, which dominates at tf-idf-scale dimensionality.
+//     exactly from the maintained move-delta tables (the removal part once
+//     per point, all k insertion parts as one contiguous row sum per
+//     attribute, FairKMState::FairInsertionDeltaAllClusters) plus the
+//     bounded K-Means term. Still avoids the O(k d) GEMV, which dominates at
+//     tf-idf-scale dimensionality.
 // If every candidate is bounded out (minus a defensive rounding margin), no
 // move can be accepted and the point is skipped. The bounds are
 // conservative by construction; the margin absorbs the floating-point
@@ -46,7 +50,9 @@
 // that session's thread; exp::ExperimentRunner's seed-parallel workers each
 // own a separate session, and serve readers never touch it. ShouldPrune is
 // const and reads only cluster-level state that is frozen while no
-// Move/RefreshPrototypes runs; Refresh writes only point i's slots.
+// Move/RefreshPrototypes runs (plus a k-entry scratch row, which is why one
+// pruner must not be shared across threads); Refresh writes only point i's
+// slots.
 
 #ifndef FAIRKM_CORE_PRUNING_H_
 #define FAIRKM_CORE_PRUNING_H_
@@ -65,6 +71,15 @@ namespace core {
 /// sweep exercised (mirrors FAIRKM_FORCE_SCALAR for kernels).
 bool PruningDisabledByEnv();
 
+/// \brief Which gate stage, if any, proved that no candidate move of a
+/// point can improve the objective. Unscoped so `if (ShouldPrune(i))` reads
+/// as "pruned by either stage".
+enum PruneVerdict : uint8_t {
+  kEvaluate = 0,      ///< Not proven: evaluate the point exactly.
+  kPrunedStage1 = 1,  ///< The O(1) cluster-level gate.
+  kPrunedStage2 = 2,  ///< The per-candidate gate.
+};
+
 /// \brief Per-point distance bounds + the O(1) pruning gate over a
 /// bound-tracking FairKMState. The state must outlive the pruner and have
 /// EnableBoundTracking(true) applied for the pruner's whole lifetime.
@@ -72,11 +87,11 @@ class SweepPruner {
  public:
   SweepPruner(const FairKMState* state, double lambda, double min_improvement);
 
-  /// \brief O(1) gate: true when no candidate move of point i can improve
-  /// the objective by more than min_improvement, proven from the current
-  /// bounds. False for points whose bounds are stale (never evaluated, or
-  /// moved since their last refresh).
-  bool ShouldPrune(size_t i) const;
+  /// \brief The gate: the stage that proved no candidate move of point i
+  /// can improve the objective by more than min_improvement from the current
+  /// bounds, or kEvaluate — always for points whose bounds are stale (never
+  /// evaluated, or moved since their last refresh).
+  PruneVerdict ShouldPrune(size_t i) const;
 
   /// \brief Installs fresh bounds for point i from an exact evaluation:
   /// `dists` is the k clamped squared centroid distances reported by
@@ -133,6 +148,8 @@ class SweepPruner {
  private:
   // Shared by both gate stages (one definition of the removal factor).
   double RemovalUpperBound(size_t i, int from) const;
+  // GateLowerBound given the point's cluster and removal bound.
+  double Stage1Bound(size_t i, int from, double removal_ub) const;
   // The stamp a row refreshed now carries: advances on Reset and on every
   // event that voids all bounds in the state (FairKMState::bound_epoch).
   uint64_t Epoch() const { return epoch_ + state_->bound_epoch(); }
@@ -160,6 +177,8 @@ class SweepPruner {
   // clearing n flags. Epoch() is never 0, so zero-filled rows start stale.
   std::vector<uint64_t> fresh_;
   uint64_t epoch_ = 1;
+  // Stage 2's k insertion deltas for the point being gated (scratch).
+  mutable std::vector<double> insertion_;
 };
 
 }  // namespace core

@@ -97,6 +97,7 @@ Status FairKMSolver::Init(cluster::Assignment warm_start) {
     }
     const size_t k = static_cast<size_t>(options_.k);
     km_deltas_.assign(k, 0.0);
+    fair_deltas_.assign(k, 0.0);
     km_dists_.assign(pruning_ ? k : 0, 0.0);
   } else {
     FAIRKM_RETURN_NOT_OK(state_->Reset(std::move(warm_start)));
@@ -111,7 +112,8 @@ Status FairKMSolver::Init(cluster::Assignment warm_start) {
   moves_in_sweep_ = 0;
   objective_history_.clear();
   total_candidates_ = 0;
-  pruned_candidates_ = 0;
+  pruned_stage1_ = 0;
+  pruned_stage2_ = 0;
   sweep_seconds_ = 0.0;
   return Status::OK();
 }
@@ -122,16 +124,17 @@ double FairKMSolver::Objective() const {
 }
 
 // Picks the best move for point i given its K-Means deltas in km_deltas_
-// and the live O(1)-per-attribute fairness deltas, and applies it. Returns
-// true when the point moved.
+// and the batched live fairness deltas, and applies it. Returns true when
+// the point moved.
 bool FairKMSolver::ApplyBestMove(size_t i) {
   const int from = state_->cluster_of(i);
+  state_->DeltaFairnessAllClusters(i, fair_deltas_.data());
   double best_delta = -options_.min_improvement;
   int best_cluster = from;
   for (int c = 0; c < options_.k; ++c) {
     if (c == from) continue;
     const double delta = km_deltas_[static_cast<size_t>(c)] +
-                         lambda_ * state_->DeltaFairness(i, c);
+                         lambda_ * fair_deltas_[static_cast<size_t>(c)];
     if (delta < best_delta) {
       best_delta = delta;
       best_cluster = c;
@@ -147,15 +150,27 @@ void FairKMSolver::ProcessBatch(size_t batch_start, size_t batch_end) {
   double* dists = pruner_ ? km_dists_.data() : nullptr;
   for (size_t i = batch_start; i < batch_end; ++i) {
     total_candidates_ += cands_per_point;
-    if (pruner_ && pruner_->ShouldPrune(i)) {
-      pruned_candidates_ += cands_per_point;
-      continue;
+    if (pruner_) {
+      const PruneVerdict verdict = pruner_->ShouldPrune(i);
+      if (verdict == kPrunedStage1) {
+        pruned_stage1_ += cands_per_point;
+        continue;
+      }
+      if (verdict == kPrunedStage2) {
+        pruned_stage2_ += cands_per_point;
+        continue;
+      }
     }
     state_->DeltaKMeansAllClusters(i, km_deltas_.data(), dists);
-    if (pruner_) pruner_->Refresh(i, dists);
     if (ApplyBestMove(i)) {
       if (pruner_) pruner_->Invalidate(i);
       ++moves_in_sweep_;
+    } else if (pruner_) {
+      // Only a point that stays gets fresh bounds; a moved one is stale
+      // until its next exact evaluation. Nothing changed since the
+      // evaluation, so these are the bounds a refresh before the move
+      // decision would have installed.
+      pruner_->Refresh(i, dists);
     }
   }
 }
@@ -321,7 +336,9 @@ Result<FairKMResult> FairKMSolver::CurrentResult() const {
   result.objective_history = objective_history_;
   result.sweep_seconds = sweep_seconds_;
   result.total_candidates = total_candidates_;
-  result.pruned_candidates = pruned_candidates_;
+  result.pruned_candidates = pruned_stage1_ + pruned_stage2_;
+  result.pruned_stage1_candidates = pruned_stage1_;
+  result.pruned_stage2_candidates = pruned_stage2_;
   result.pruned_fraction = result.PrunedFraction();
   result.assignment = state_->assignment();
   // Finalize over the bound store, mirroring cluster::FinalizeResult
@@ -389,7 +406,8 @@ Result<SolverCheckpoint> FairKMSolver::Snapshot() const {
   cp.moves_in_sweep = moves_in_sweep_;
   cp.objective_history = objective_history_;
   cp.total_candidates = total_candidates_;
-  cp.pruned_candidates = pruned_candidates_;
+  cp.pruned_candidates = pruned_stage1_ + pruned_stage2_;
+  cp.pruned_stage1_candidates = pruned_stage1_;
   cp.sweep_seconds = sweep_seconds_;
   return cp;
 }
@@ -430,7 +448,10 @@ Status FairKMSolver::Restore(const SolverCheckpoint& cp) {
   moves_in_sweep_ = cp.moves_in_sweep;
   objective_history_ = cp.objective_history;
   total_candidates_ = cp.total_candidates;
-  pruned_candidates_ = cp.pruned_candidates;
+  // A checkpoint without the stage split (see SolverCheckpoint) counts
+  // every pruned candidate under stage 2.
+  pruned_stage1_ = std::min(cp.pruned_stage1_candidates, cp.pruned_candidates);
+  pruned_stage2_ = cp.pruned_candidates - pruned_stage1_;
   sweep_seconds_ = cp.sweep_seconds;
   return Status::OK();
 }
@@ -543,7 +564,7 @@ Result<ModelExport> FairKMSolver::ExportModel() const {
     for (size_t j = 0; j < m.d; ++j) dst[j] = src[j] * inv;
     m.centroid_norms[c] = kernels::Dot(dst, dst, m.stride);
   }
-  state_->ExportFairnessMoments(&m.moments);
+  m.moments = state_->fairness_moments();
   m.categorical.reserve(sensitive_->categorical.size());
   for (const auto& attr : sensitive_->categorical) {
     m.categorical.push_back({attr.name, attr.cardinality, {},

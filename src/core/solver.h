@@ -155,6 +155,10 @@ struct SolverCheckpoint {
   std::vector<double> objective_history;
   uint64_t total_candidates = 0;
   uint64_t pruned_candidates = 0;
+  /// The share of pruned_candidates the O(1) stage-1 gate rejected (the
+  /// rest went to stage 2). Checkpoint files from before the split carry
+  /// no such count and restore it as 0.
+  uint64_t pruned_stage1_candidates = 0;
   double sweep_seconds = 0.0;
 };
 
@@ -374,9 +378,10 @@ class FairKMSolver {
   // Session state, built at the first Init and reused afterwards.
   std::unique_ptr<FairKMState> state_;
   std::unique_ptr<SweepPruner> pruner_;
-  // Per-point scratch for the batched K-Means kernel: k candidate deltas
-  // and, when pruning, the k exported distances.
+  // Per-point scratch for the batched kernels: k K-Means and k fairness
+  // candidate deltas and, when pruning, the k exported distances.
   std::vector<double> km_deltas_;
+  std::vector<double> fair_deltas_;
   std::vector<double> km_dists_;
 
   // Run progress.
@@ -386,7 +391,8 @@ class FairKMSolver {
   size_t moves_in_sweep_ = 0;
   std::vector<double> objective_history_;
   uint64_t total_candidates_ = 0;
-  uint64_t pruned_candidates_ = 0;
+  uint64_t pruned_stage1_ = 0;  // Candidates rejected by the O(1) gate.
+  uint64_t pruned_stage2_ = 0;  // ... by the per-candidate gate.
   double sweep_seconds_ = 0.0;
 };
 

@@ -8,6 +8,7 @@
 #include "core/checkpoint_io.h"
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -77,6 +78,7 @@ void ExpectCheckpointsEqual(const SolverCheckpoint& a,
   EXPECT_EQ(a.objective_history, b.objective_history);
   EXPECT_EQ(a.total_candidates, b.total_candidates);
   EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+  EXPECT_EQ(a.pruned_stage1_candidates, b.pruned_stage1_candidates);
   EXPECT_EQ(a.sweep_seconds, b.sweep_seconds);
 
   EXPECT_EQ(a.state.assignment, b.state.assignment);
@@ -432,6 +434,111 @@ TEST_F(CheckpointIoTest, RunResumeBudgetRestoresNewestValidCheckpoint) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.total_candidates, b.total_candidates);
   EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+}
+
+// A pruned mini-batch run saved to disk in the middle of a sweep and
+// restored into a fresh solver continues on the uninterrupted run's exact
+// trajectory. The file keeps the insertion-delta table cluster-major while
+// the live table is value-major, so this also pins the transposition on
+// save and restore (and the lane mirrors rebuilt on restore).
+TEST_F(CheckpointIoTest, PrunedMiniBatchResumedMidSweepIsBitIdentical) {
+  testutil::WorldSpec spec;
+  spec.blobs = 4;
+  spec.per_blob = 40;
+  spec.k = 5;
+  spec.categorical_attrs = 3;
+  spec.numeric_attrs = 1;
+  const SeededWorld world = MakeSeededWorld(123, spec);
+  // This test is about pruned runs, so it must see pruning even under the
+  // CI job that exports FAIRKM_DISABLE_PRUNING=1 for the rest of the suite.
+  ::unsetenv("FAIRKM_DISABLE_PRUNING");
+  FairKMOptions options;
+  options.k = world.k;
+  options.max_iterations = 10;
+  options.minibatch_size = 16;
+  options.enable_pruning = true;
+
+  FairKMSolver reference =
+      FairKMSolver::Create(&world.points, &world.sensitive, options)
+          .ValueOrDie();
+  ASSERT_TRUE(reference.Init(uint64_t{5}).ok());
+  ASSERT_TRUE(reference.Run().ok());
+  const FairKMResult a = reference.CurrentResult().ValueOrDie();
+  ASSERT_TRUE(a.pruning_enabled);
+  ASSERT_GT(a.pruned_candidates, 0u);
+
+  // Stop mid-sweep: the third sweep, after its fourth mini-batch.
+  const std::string path = Path("mid-sweep.fkmc");
+  {
+    FairKMSolver first =
+        FairKMSolver::Create(&world.points, &world.sensitive, options)
+            .ValueOrDie();
+    ASSERT_TRUE(first.Init(uint64_t{5}).ok());
+    const auto stop_mid_sweep = [](const SweepProgress& p) {
+      return !(p.sweep == 3 && p.points_processed == 64);
+    };
+    Result<RunStop> stop = first.Run(RunBudget{}, stop_mid_sweep);
+    ASSERT_TRUE(stop.ok()) << stop.status();
+    ASSERT_EQ(stop.ValueOrDie(), RunStop::kCancelled);
+    ASSERT_TRUE(first.SaveCheckpoint(path).ok());
+  }
+  FairKMSolver second =
+      FairKMSolver::Create(&world.points, &world.sensitive, options)
+          .ValueOrDie();
+  ASSERT_TRUE(second.LoadCheckpoint(path).ok());  // no Init
+  ASSERT_TRUE(second.Run().ok());
+  const FairKMResult b = second.CurrentResult().ValueOrDie();
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a.objective_history, b.objective_history);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.total_candidates, b.total_candidates);
+  EXPECT_EQ(a.pruned_candidates, b.pruned_candidates);
+  EXPECT_EQ(a.pruned_stage1_candidates, b.pruned_stage1_candidates);
+  EXPECT_EQ(a.pruned_stage2_candidates, b.pruned_stage2_candidates);
+}
+
+// The pruning-stage split travels in an optional section. A file without it
+// (written before the split existed) still loads, its pruned total intact
+// and counted under stage 2.
+TEST_F(CheckpointIoTest, FileWithoutPruneStageSectionLoadsAsAllStage2) {
+  ::unsetenv("FAIRKM_DISABLE_PRUNING");
+  const SeededWorld world = MakeSeededWorld(93);
+  FairKMOptions options = BaseOptions();
+  options.lambda = -1.0;  // The auto lambda prunes on this world.
+  const SolverCheckpoint cp = TrainedCheckpoint(world, options, 4);
+  ASSERT_TRUE(cp.has_pruner);
+  ASSERT_GT(cp.pruned_candidates, 0u);
+  const std::string path = Path("ckpt.fkmc");
+  ASSERT_TRUE(WriteSolverCheckpoint(path, cp).ok());
+
+  std::string bytes;
+  ASSERT_TRUE(io::ReadFile(path, &bytes, "test").ok());
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  std::memcpy(&magic, bytes.data(), sizeof(magic));
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  io::SectionFile file =
+      io::ReadSectionFile(path, magic, version, "test").ValueOrDie();
+  constexpr uint32_t kPruneStagesTag = 4;
+  ASSERT_EQ(file.sections.size(), 4u);
+  ASSERT_EQ(file.sections.back().tag, kPruneStagesTag);
+  file.sections.pop_back();
+  ASSERT_TRUE(
+      io::WriteSectionFile(path, magic, version, file.sections, "test").ok());
+
+  Result<SolverCheckpoint> back = ReadSolverCheckpoint(path);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back.ValueOrDie().pruned_candidates, cp.pruned_candidates);
+  EXPECT_EQ(back.ValueOrDie().pruned_stage1_candidates, 0u);
+
+  FairKMSolver solver =
+      FairKMSolver::Create(&world.points, &world.sensitive, options)
+          .ValueOrDie();
+  ASSERT_TRUE(solver.LoadCheckpoint(path).ok());
+  const FairKMResult result = solver.CurrentResult().ValueOrDie();
+  EXPECT_EQ(result.pruned_candidates, cp.pruned_candidates);
+  EXPECT_EQ(result.pruned_stage1_candidates, 0u);
+  EXPECT_EQ(result.pruned_stage2_candidates, cp.pruned_candidates);
 }
 
 TEST_F(CheckpointIoTest, AutoCheckpointWriteFailureSurfacesCleanly) {

@@ -41,8 +41,10 @@ if(NOT exit_code EQUAL 0)
   message(FATAL_ERROR "fairkm_cli exited with ${exit_code}\nstdout:\n${stdout}\nstderr:\n${stderr}")
 endif()
 
-# The report must mention the run shape and the fairness table.
-foreach(needle "n = 16 rows" "clustering objective" "Sensitive attribute")
+# The report must mention the run shape, the pruning-stage split of the
+# sweep line and the fairness table.
+foreach(needle "n = 16 rows" "(stage 1: " "clustering objective"
+        "Sensitive attribute")
   string(FIND "${stdout}" "${needle}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "stdout missing \"${needle}\":\n${stdout}")

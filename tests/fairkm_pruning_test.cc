@@ -129,6 +129,67 @@ TEST_P(PruningBackendTest, TrajectoryBitIdenticalWithWeightsAndAblations) {
   }
 }
 
+// The csv-report shape (k = 8, categorical attributes with 2, 5 and 12
+// values and skewed marginals, no numeric one): where the stage-1 gate is
+// weakest, so most pruning decisions go through stage 2's batched
+// insertion rows. Pruned and exhaustive sweeps must still agree to the bit,
+// serial and mini-batch, and the stage split must add up.
+SeededWorld CsvReportShapedWorld(uint64_t seed) {
+  WorldSpec spec;
+  spec.blobs = 8;
+  spec.per_blob = 40;
+  spec.dim = 6;
+  spec.k = 8;
+  spec.categorical_attrs = 0;
+  spec.numeric_attrs = 0;
+  SeededWorld world = MakeSeededWorld(seed, spec);
+  Rng rng(seed ^ 0x5EED);
+  const size_t n = world.points.rows();
+  for (const int m : {2, 5, 12}) {
+    data::CategoricalSensitive attr;
+    attr.name = "values" + std::to_string(m);
+    attr.cardinality = m;
+    attr.codes.resize(n);
+    std::vector<int64_t> counts(static_cast<size_t>(m), 0);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t a = rng.UniformInt(static_cast<uint64_t>(m));
+      const uint64_t b = rng.UniformInt(static_cast<uint64_t>(m));
+      attr.codes[i] = static_cast<int32_t>(a < b ? a : b);
+      ++counts[static_cast<size_t>(attr.codes[i])];
+    }
+    for (const int64_t count : counts) {
+      attr.dataset_fractions.push_back(static_cast<double>(count) /
+                                       static_cast<double>(n));
+    }
+    world.sensitive.categorical.push_back(std::move(attr));
+  }
+  return world;
+}
+
+TEST_P(PruningBackendTest, TrajectoryBitIdenticalOnCsvReportShapedWorld) {
+  for (uint64_t seed : {3u, 31u}) {
+    const SeededWorld world = CsvReportShapedWorld(seed);
+    for (const ModeConfig& mode : kModes) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " mode " << mode.name);
+      core::FairKMOptions options;
+      options.k = world.k;
+      options.max_iterations = 20;
+      options.minibatch_size = mode.minibatch;
+      options.enable_pruning = true;
+      const core::FairKMResult pruned = RunWorld(world, options, seed);
+      options.enable_pruning = false;
+      const core::FairKMResult exact = RunWorld(world, options, seed);
+      ExpectBitIdentical(pruned, exact);
+      EXPECT_GT(pruned.pruned_candidates, 0u);
+      EXPECT_EQ(pruned.pruned_stage1_candidates +
+                    pruned.pruned_stage2_candidates,
+                pruned.pruned_candidates);
+      EXPECT_EQ(exact.pruned_stage1_candidates, 0u);
+      EXPECT_EQ(exact.pruned_stage2_candidates, 0u);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, PruningBackendTest,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
@@ -205,6 +266,7 @@ TEST_P(PruningInvariantTest, BoundsNeverViolatedUnderMoveSequences) {
 
     Rng rng(seed ^ 0xBEEF);
     std::vector<double> km(static_cast<size_t>(world.k));
+    std::vector<double> fair(static_cast<size_t>(world.k));
     std::vector<double> dists(static_cast<size_t>(world.k));
     const size_t n = state.num_rows();
     for (int round = 0; round < 4; ++round) {
@@ -212,13 +274,14 @@ TEST_P(PruningInvariantTest, BoundsNeverViolatedUnderMoveSequences) {
       for (size_t i = 0; i < n; ++i) {
         if (pruner.ShouldPrune(i)) continue;
         state.DeltaKMeansAllClusters(i, km.data(), dists.data());
+        state.DeltaFairnessAllClusters(i, fair.data());
         pruner.Refresh(i, dists.data());
         int best = state.cluster_of(i);
         double best_delta = -min_improvement;
         for (int c = 0; c < world.k; ++c) {
           if (c == state.cluster_of(i)) continue;
           const double delta =
-              km[static_cast<size_t>(c)] + lambda * state.DeltaFairness(i, c);
+              km[static_cast<size_t>(c)] + lambda * fair[static_cast<size_t>(c)];
           if (delta < best_delta) {
             best_delta = delta;
             best = c;
@@ -262,6 +325,7 @@ TEST(FairKMPruningTest, ResizeLeavesEveryRowStaleUntilRefreshed) {
   const double min_improvement = 1e-9;
   core::SweepPruner pruner(&state, lambda, min_improvement);
   std::vector<double> km(static_cast<size_t>(world.k));
+  std::vector<double> fair(static_cast<size_t>(world.k));
   std::vector<double> dists(static_cast<size_t>(world.k));
   const size_t n = state.num_rows();
   // Settle with sweep-like passes, then refresh every row exactly.
@@ -269,13 +333,14 @@ TEST(FairKMPruningTest, ResizeLeavesEveryRowStaleUntilRefreshed) {
     for (size_t i = 0; i < n; ++i) {
       if (move && pruner.ShouldPrune(i)) continue;
       state.DeltaKMeansAllClusters(i, km.data(), dists.data());
+      state.DeltaFairnessAllClusters(i, fair.data());
       pruner.Refresh(i, dists.data());
       int best = state.cluster_of(i);
       double best_delta = -min_improvement;
       for (int c = 0; c < world.k; ++c) {
         if (c == state.cluster_of(i)) continue;
         const double delta =
-            km[static_cast<size_t>(c)] + lambda * state.DeltaFairness(i, c);
+            km[static_cast<size_t>(c)] + lambda * fair[static_cast<size_t>(c)];
         if (delta < best_delta) {
           best_delta = delta;
           best = c;

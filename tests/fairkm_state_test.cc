@@ -10,6 +10,7 @@
 
 #include "core/objective.h"
 #include "test_util.h"
+#include "testlib/brute_force.h"
 
 namespace fairkm {
 namespace core {
@@ -74,7 +75,7 @@ TEST_P(DeltaSweep, DeltasMatchBruteForceRecomputation) {
     EXPECT_NEAR(state.DeltaKMeans(i, to), after.kmeans_term - before.kmeans_term,
                 1e-7)
         << "trial " << trial;
-    EXPECT_NEAR(state.DeltaFairness(i, to),
+    EXPECT_NEAR(testutil::BatchedDeltaFairness(state, i, to),
                 after.fairness_term - before.fairness_term, 1e-12)
         << "trial " << trial;
 
@@ -111,7 +112,7 @@ TEST_P(WeightingSweep, DeltasMatchUnderAllWeightingModes) {
     const double expected =
         ComputeFairnessTerm(w.sensitive, moved, w.k, config) -
         ComputeFairnessTerm(w.sensitive, current, w.k, config);
-    EXPECT_NEAR(state.DeltaFairness(i, to), expected, 1e-12);
+    EXPECT_NEAR(testutil::BatchedDeltaFairness(state, i, to), expected, 1e-12);
     state.Move(i, to);
     current = moved;
   }
@@ -129,7 +130,7 @@ TEST(FairKMStateTest, MoveToSameClusterIsZeroDelta) {
   for (size_t i = 0; i < 20; ++i) {
     const int own = state.cluster_of(i);
     EXPECT_EQ(state.DeltaKMeans(i, own), 0.0);
-    EXPECT_EQ(state.DeltaFairness(i, own), 0.0);
+    EXPECT_EQ(testutil::BatchedDeltaFairness(state, i, own), 0.0);
   }
 }
 
@@ -187,7 +188,7 @@ TEST(FairKMStateTest, EmptyAndSingletonClusterEdgeCases) {
   ObjectiveValue before = ComputeObjective(pts, view, a, 3);
   ObjectiveValue after = ComputeObjective(pts, view, moved, 3);
   EXPECT_NEAR(state.DeltaKMeans(2, 1), after.kmeans_term - before.kmeans_term, 1e-9);
-  EXPECT_NEAR(state.DeltaFairness(2, 1), after.fairness_term - before.fairness_term,
+  EXPECT_NEAR(testutil::BatchedDeltaFairness(state, 2, 1), after.fairness_term - before.fairness_term,
               1e-12);
   state.Move(2, 1);
 
@@ -198,7 +199,7 @@ TEST(FairKMStateTest, EmptyAndSingletonClusterEdgeCases) {
   before = ComputeObjective(pts, view, a2, 3);
   after = ComputeObjective(pts, view, moved2, 3);
   EXPECT_NEAR(state.DeltaKMeans(2, 2), after.kmeans_term - before.kmeans_term, 1e-9);
-  EXPECT_NEAR(state.DeltaFairness(2, 2), after.fairness_term - before.fairness_term,
+  EXPECT_NEAR(testutil::BatchedDeltaFairness(state, 2, 2), after.fairness_term - before.fairness_term,
               1e-12);
 }
 

@@ -11,6 +11,7 @@
 #include "core/fairkm.h"
 #include "core/fairkm_state.h"
 #include "test_util.h"
+#include "testlib/brute_force.h"
 #include "testlib/worlds.h"
 
 namespace fairkm {
@@ -82,8 +83,8 @@ TEST_F(HandWorldDeltaGolden, DeltaFairnessMatchesHandArithmetic) {
   core::FairKMState state = MakeState();
   // Either move unbalances both clusters to u = (±1/2, ∓1/2):
   // deviation = (1/m) * (1/n^2) * (0.5 + 0.5) = (1/2)(1/16) = 1/32 per Eq. 7.
-  EXPECT_NEAR(state.DeltaFairness(1, 1), 1.0 / 32.0, 1e-12);
-  EXPECT_NEAR(state.DeltaFairness(0, 1), 1.0 / 32.0, 1e-12);
+  EXPECT_NEAR(BatchedDeltaFairness(state, 1, 1), 1.0 / 32.0, 1e-12);
+  EXPECT_NEAR(BatchedDeltaFairness(state, 0, 1), 1.0 / 32.0, 1e-12);
 }
 
 TEST_F(HandWorldDeltaGolden, NumericAttributeDeviationIsExact) {
@@ -116,8 +117,8 @@ TEST(SeededWorldDeltaGolden, PinsMoveDeltas) {
   EXPECT_NEAR(state.FairnessTerm(), golden_fairness_term, 1e-12);
   EXPECT_NEAR(state.DeltaKMeans(0, 2), golden_dk_0_2, 1e-9);
   EXPECT_NEAR(state.DeltaKMeans(17, 0), golden_dk_17_0, 1e-9);
-  EXPECT_NEAR(state.DeltaFairness(0, 2), golden_df_0_2, 1e-12);
-  EXPECT_NEAR(state.DeltaFairness(17, 0), golden_df_17_0, 1e-12);
+  EXPECT_NEAR(BatchedDeltaFairness(state, 0, 2), golden_df_0_2, 1e-12);
+  EXPECT_NEAR(BatchedDeltaFairness(state, 17, 0), golden_df_17_0, 1e-12);
 }
 
 // Lambda annealing (RunBudget.lambda_schedule): a schedule returning the

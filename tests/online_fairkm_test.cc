@@ -211,9 +211,8 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
   EXPECT_EQ(a.cat_u2, b.cat_u2);
   EXPECT_EQ(a.cat_uq, b.cat_uq);
 
-  core::FairnessMomentTables ma, mb;
-  live.ExportFairnessMoments(&ma);
-  fresh.ExportFairnessMoments(&mb);
+  const core::FairnessMomentTables& ma = live.fairness_moments();
+  const core::FairnessMomentTables& mb = fresh.fairness_moments();
   EXPECT_EQ(ma.cat_counts, mb.cat_counts);
   EXPECT_EQ(ma.cat_u2, mb.cat_u2);
   EXPECT_EQ(ma.cat_uq, mb.cat_uq);

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -218,6 +219,72 @@ TEST(SimdKernelsTest, CatDeltaBoundsBitForBitAcrossBackends) {
   }
 }
 
+// One candidate's gate slack, total - margin, exactly as the scalar
+// per-candidate form of the pruning gate's stage 2 evaluates it.
+double GateSlack(const PruneGateInput& in, size_t c) {
+  const double lb = in.lb0[c] - (in.drift[c] - in.drift_ref[c]);
+  const double lbc = lb > 0.0 ? lb : 0.0;
+  const double addition_lb = in.addf[c] * lbc * lbc;
+  const double fair_insertion = in.lambda * in.insertion[c];
+  const double total =
+      addition_lb - in.removal_ub + in.fair_removal + fair_insertion;
+  const double margin =
+      in.rel_slack * (addition_lb + in.removal_ub + std::fabs(in.fair_removal) +
+                      std::fabs(fair_insertion) + in.point_norm) +
+      in.abs_slack;
+  return total - margin;
+}
+
+// Every backend's verdict equals the per-candidate one, also when the
+// threshold sits exactly on (or one ulp either side of) a candidate's slack,
+// for k across full vectors and tails, with negative aged bounds, empty
+// candidates and the own cluster excluded.
+TEST(SimdKernelsTest, PruneGateLanesVerdictMatchesPerCandidateForm) {
+  Rng rng(91);
+  for (size_t k = 1; k <= 13; ++k) {
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<double> lb0(k), drift_ref(k), drift(k), addf(k), ins(k);
+      for (size_t c = 0; c < k; ++c) {
+        lb0[c] = rng.UniformDouble(0.0, 2.0);
+        drift_ref[c] = rng.UniformDouble(0.0, 1.0);
+        drift[c] = drift_ref[c] + rng.UniformDouble(0.0, 1.5);
+        addf[c] = rng.Bernoulli(0.1) ? 0.0 : rng.UniformDouble(0.5, 1.0);
+        ins[c] = rng.UniformDouble(-1e-3, 1e-3);
+      }
+      PruneGateInput in;
+      in.lb0 = lb0.data();
+      in.drift_ref = drift_ref.data();
+      in.drift = drift.data();
+      in.addf = addf.data();
+      in.insertion = ins.data();
+      in.k = k;
+      in.from = static_cast<size_t>(rng.UniformInt(static_cast<uint64_t>(k)));
+      in.lambda = std::pow(10.0, rng.UniformDouble(-2.0, 4.0));
+      in.removal_ub = rng.UniformDouble(0.0, 2.0);
+      in.fair_removal = rng.UniformDouble(-1.0, 1.0);
+      in.point_norm = rng.UniformDouble(0.0, 10.0);
+      in.rel_slack = 1e-9;
+      in.abs_slack = 1e-9;
+      const double edge =
+          GateSlack(in, static_cast<size_t>(rng.UniformInt(static_cast<uint64_t>(k))));
+      const double inf = std::numeric_limits<double>::infinity();
+      for (const double threshold :
+           {edge, std::nextafter(edge, inf), std::nextafter(edge, -inf),
+            rng.UniformDouble(-3.0, 3.0)}) {
+        in.threshold = threshold;
+        bool want = false;
+        for (size_t c = 0; c < k; ++c) {
+          if (c != in.from && GateSlack(in, c) < threshold) want = true;
+        }
+        for (const Backend* backend : AvailableBackends()) {
+          ASSERT_EQ(backend->PruneGateLanes(in), want)
+              << backend->name << " k=" << k << " trial " << trial;
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelsTest, CatMomentsBitForBitAcrossBackends) {
   Rng rng(99);
   for (const Backend* backend : AvailableBackends()) {
@@ -356,11 +423,13 @@ TEST(SimdKernelsTest, FairKMStateDeltasBackendIndependent) {
         FairKMState::Create(&points, &sensitive, kK, initial).ValueOrDie();
     Probe probe;
     std::vector<double> km(kK);
+    std::vector<double> fair(kK);
     for (size_t i = 0; i < kRows; ++i) {
       state.DeltaKMeansAllClusters(i, km.data());
+      state.DeltaFairnessAllClusters(i, fair.data());
       for (int c = 0; c < kK; ++c) {
         probe.km.push_back(km[static_cast<size_t>(c)]);
-        probe.fair.push_back(state.DeltaFairness(i, c));
+        probe.fair.push_back(fair[static_cast<size_t>(c)]);
       }
       // Exercise Move/RecomputeCatMoments too.
       if (i % 7 == 0) state.Move(i, static_cast<int>(i) % kK);

@@ -56,7 +56,7 @@ TEST(StateInvariants, DeltasMatchBruteForceAlongRandomTrajectory) {
       RandomMoveSequence(250, world.points.rows(), world.k, &rng);
   for (const MoveOp& move : moves) {
     const double dk = state.DeltaKMeans(move.point, move.to);
-    const double df = state.DeltaFairness(move.point, move.to);
+    const double df = BatchedDeltaFairness(state, move.point, move.to);
     const double brute_dk =
         BruteForceDeltaKMeans(world.points, state.assignment(), world.k,
                               move.point, move.to);
@@ -111,9 +111,11 @@ TEST(StateInvariants, ClosedFormFairnessMatchesReferenceKernel) {
     Rng rng(82);
     const std::vector<MoveOp> moves =
         RandomMoveSequence(200, world.points.rows(), world.k, &rng);
+    std::vector<double> lanes(static_cast<size_t>(world.k));
     for (const MoveOp& move : moves) {
+      state.DeltaFairnessAllClusters(move.point, lanes.data());
       for (int c = 0; c < world.k; ++c) {
-        const double fast = state.DeltaFairness(move.point, c);
+        const double fast = lanes[static_cast<size_t>(c)];
         const double reference = state.ReferenceDeltaFairness(move.point, c);
         ASSERT_NEAR(fast, reference, 1e-9 * std::max(1.0, std::fabs(reference)))
             << "point " << move.point << " -> " << c;
@@ -156,7 +158,7 @@ TEST(StateInvariants, MoveToOwnClusterIsIdentityAndDeltaZero) {
   for (size_t i = 0; i < world.points.rows(); i += 7) {
     const int own = state.cluster_of(i);
     EXPECT_EQ(state.DeltaKMeans(i, own), 0.0);
-    EXPECT_EQ(state.DeltaFairness(i, own), 0.0);
+    EXPECT_EQ(BatchedDeltaFairness(state, i, own), 0.0);
     state.Move(i, own);
   }
   EXPECT_TRUE(StateMatchesBruteForce(state, world.points, world.sensitive));
@@ -200,7 +202,7 @@ TEST(StateInvariants, HoldsForAllClusterWeightingsAndWeights) {
       const std::vector<MoveOp> moves =
           RandomMoveSequence(120, world.points.rows(), world.k, &rng);
       for (const MoveOp& move : moves) {
-        const double df = state.DeltaFairness(move.point, move.to);
+        const double df = BatchedDeltaFairness(state, move.point, move.to);
         const double brute_df =
             BruteForceDeltaFairness(world.sensitive, state.assignment(), world.k,
                                     move.point, move.to, config);

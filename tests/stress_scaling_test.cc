@@ -55,17 +55,19 @@ TEST(StressScaling, DeltaAccountingMatchesScratchAt50kPoints) {
   // improving move, and keep running per-term delta totals.
   Rng rng(1002);
   std::vector<double> km(static_cast<size_t>(world.k));
+  std::vector<double> fair(static_cast<size_t>(world.k));
   double km_acc = 0.0, fair_acc = 0.0;
   size_t moves = 0;
   for (size_t i = 0; i < world.points.rows(); ++i) {
     state.DeltaKMeansAllClusters(i, km.data());
+    state.DeltaFairnessAllClusters(i, fair.data());
     const int from = state.cluster_of(i);
     double best = -1e-12;
     int best_cluster = from;
     for (int c = 0; c < world.k; ++c) {
       if (c == from) continue;
       const double delta =
-          km[static_cast<size_t>(c)] + state.DeltaFairness(i, c);
+          km[static_cast<size_t>(c)] + fair[static_cast<size_t>(c)];
       if (delta < best) {
         best = delta;
         best_cluster = c;
@@ -73,7 +75,7 @@ TEST(StressScaling, DeltaAccountingMatchesScratchAt50kPoints) {
     }
     if (best_cluster != from) {
       km_acc += km[static_cast<size_t>(best_cluster)];
-      fair_acc += state.DeltaFairness(i, best_cluster);
+      fair_acc += fair[static_cast<size_t>(best_cluster)];
       state.Move(i, best_cluster);
       ++moves;
     }
@@ -98,15 +100,17 @@ TEST(StressScaling, SampledKernelsMatchReferenceAt50kPoints) {
 
   Rng rng(2002);
   std::vector<double> km(static_cast<size_t>(world.k));
+  std::vector<double> fair(static_cast<size_t>(world.k));
   for (int sample = 0; sample < 500; ++sample) {
     const size_t i = static_cast<size_t>(rng.UniformInt(world.points.rows()));
     state.DeltaKMeansAllClusters(i, km.data());
+    state.DeltaFairnessAllClusters(i, fair.data());
     for (int c = 0; c < world.k; ++c) {
       const double km_ref = state.ReferenceDeltaKMeans(i, c);
       const double fair_ref = state.ReferenceDeltaFairness(i, c);
       ASSERT_LT(Rel(km[static_cast<size_t>(c)], km_ref), kTol)
           << "point " << i << " -> " << c;
-      ASSERT_LT(Rel(state.DeltaFairness(i, c), fair_ref), kTol)
+      ASSERT_LT(Rel(fair[static_cast<size_t>(c)], fair_ref), kTol)
           << "point " << i << " -> " << c;
     }
     state.Move(i, static_cast<int>(rng.UniformInt(static_cast<uint64_t>(world.k))));

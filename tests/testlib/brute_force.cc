@@ -152,6 +152,109 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
   return after - before;
 }
 
+double OracleDeltaFairness(const core::FairKMState& state, size_t i, int to) {
+  const data::SensitiveView& sensitive = state.sensitive();
+  const int from = state.cluster_of(i);
+  if (to == from || sensitive.empty()) return 0.0;
+  const core::FairnessMomentTables& moments = state.fairness_moments();
+  const core::ClusterWeighting weighting = state.config().weighting;
+  const size_t n = state.num_rows();
+  const size_t c_from = state.cluster_size(from);
+  const size_t c_to = state.cluster_size(to);
+
+  const double scale_from_before = core::ClusterScale(weighting, c_from, n);
+  const double scale_from_after = core::ClusterScale(weighting, c_from - 1, n);
+  const double scale_to_before = core::ClusterScale(weighting, c_to, n);
+  const double scale_to_after = core::ClusterScale(weighting, c_to + 1, n);
+
+  double delta = 0.0;
+  for (size_t a = 0; a < sensitive.categorical.size(); ++a) {
+    const auto& attr = sensitive.categorical[a];
+    const int m = attr.cardinality;
+    const int32_t v = attr.codes[i];
+    const double q_v = attr.dataset_fractions[v];
+    const double q2 = moments.cat_q2[a];
+    const double norm =
+        state.config().normalize_domain ? 1.0 / static_cast<double>(m) : 1.0;
+
+    // Origin cluster: removal sends u_s -> u_s + q_s - [s=v], so the new
+    // moment is U2 + Q2 + 1 + 2 (UQ - u_v - q_v); u_v touches one count.
+    const double u2_from = moments.cat_u2[a][static_cast<size_t>(from)];
+    const double uq_from = moments.cat_uq[a][static_cast<size_t>(from)];
+    const double u_v_from =
+        static_cast<double>(
+            moments.cat_counts[a][static_cast<size_t>(from) * m + v]) -
+        static_cast<double>(c_from) * q_v;
+    const double after_from =
+        u2_from + q2 + 1.0 + 2.0 * (uq_from - u_v_from - q_v);
+
+    // Target cluster: insertion sends u_s -> u_s - q_s + [s=v].
+    const double u2_to = moments.cat_u2[a][static_cast<size_t>(to)];
+    const double uq_to = moments.cat_uq[a][static_cast<size_t>(to)];
+    const double u_v_to =
+        static_cast<double>(
+            moments.cat_counts[a][static_cast<size_t>(to) * m + v]) -
+        static_cast<double>(c_to) * q_v;
+    const double after_to = u2_to + q2 + 1.0 - 2.0 * (uq_to - u_v_to + q_v);
+
+    delta += attr.weight * norm *
+             ((scale_from_after * after_from - scale_from_before * u2_from) +
+              (scale_to_after * after_to - scale_to_before * u2_to));
+  }
+  for (size_t a = 0; a < sensitive.numeric.size(); ++a) {
+    const auto& attr = sensitive.numeric[a];
+    const double x = attr.values[i];
+    const double mean = attr.dataset_mean;
+    const double t_from = moments.num_sums[a][static_cast<size_t>(from)];
+    const double t_to = moments.num_sums[a][static_cast<size_t>(to)];
+    // u = T_C - c * mean; removal: u' = u - x + mean; insertion: u' = u + x - mean.
+    const double u_from = t_from - static_cast<double>(c_from) * mean;
+    const double u_from_after = u_from - x + mean;
+    const double u_to = t_to - static_cast<double>(c_to) * mean;
+    const double u_to_after = u_to + x - mean;
+    delta += attr.weight *
+             ((scale_from_after * u_from_after * u_from_after -
+               scale_from_before * u_from * u_from) +
+              (scale_to_after * u_to_after * u_to_after -
+               scale_to_before * u_to * u_to));
+  }
+  return delta;
+}
+
+double OracleFairInsertionDelta(const core::FairKMState& state,
+                                const core::FairKMState::Checkpoint& tables,
+                                size_t i, int c) {
+  const data::SensitiveView& sensitive = state.sensitive();
+  const core::ClusterWeighting weighting = state.config().weighting;
+  const size_t n = state.num_rows();
+  const size_t ci = static_cast<size_t>(c);
+  double total = 0.0;
+  for (size_t a = 0; a < sensitive.categorical.size(); ++a) {
+    const auto& attr = sensitive.categorical[a];
+    total += tables.cat_ins_delta[a][ci * static_cast<size_t>(attr.cardinality) +
+                                     static_cast<size_t>(attr.codes[i])];
+  }
+  const size_t c_to = state.cluster_size(c);
+  for (size_t a = 0; a < sensitive.numeric.size(); ++a) {
+    const auto& attr = sensitive.numeric[a];
+    const double x = attr.values[i];
+    const double mean = attr.dataset_mean;
+    const double u = state.fairness_moments().num_sums[a][ci] -
+                     static_cast<double>(c_to) * mean;
+    const double u_after = u + x - mean;
+    total += attr.weight *
+             (core::ClusterScale(weighting, c_to + 1, n) * u_after * u_after -
+              core::ClusterScale(weighting, c_to, n) * u * u);
+  }
+  return total;
+}
+
+double BatchedDeltaFairness(const core::FairKMState& state, size_t i, int to) {
+  std::vector<double> lanes(static_cast<size_t>(state.k()));
+  state.DeltaFairnessAllClusters(i, lanes.data());
+  return lanes[static_cast<size_t>(to)];
+}
+
 ::testing::AssertionResult StateMatchesBruteForce(
     const core::FairKMState& state, const data::Matrix& points,
     const data::SensitiveView& sensitive, const core::FairnessTermConfig& config,
@@ -222,16 +325,35 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
   const int k = state.k();
   std::vector<double> km(static_cast<size_t>(k));
   std::vector<double> dists(static_cast<size_t>(k));
+  std::vector<double> fair(static_cast<size_t>(k));
+  std::vector<double> ins(static_cast<size_t>(k));
+  core::FairKMState::Checkpoint tables;
+  state.SaveCheckpoint(&tables);
   for (size_t i = 0; i < n; ++i) {
-    // The fairness table split must reproduce the exact closed form for
-    // every point, fresh or not.
+    // Both batched entries must reproduce their per-candidate oracles bit
+    // for bit, and the table split the exact closed form, for every point,
+    // fresh or not.
+    state.DeltaFairnessAllClusters(i, fair.data());
+    state.FairInsertionDeltaAllClusters(i, ins.data());
     for (int c = 0; c < k; ++c) {
+      const size_t ci = static_cast<size_t>(c);
+      const double exact = OracleDeltaFairness(state, i, c);
+      if (fair[ci] != exact) {
+        return ::testing::AssertionFailure()
+               << "fairness lane " << fair[ci] << " != oracle " << exact
+               << " for point " << i << " -> " << c;
+      }
+      const double lookup = OracleFairInsertionDelta(state, tables, i, c);
+      if (ins[ci] != lookup) {
+        return ::testing::AssertionFailure()
+               << "insertion lane " << ins[ci] << " != table lookup "
+               << lookup << " for point " << i << " -> " << c;
+      }
       if (c == state.cluster_of(i)) continue;
-      const double exact = state.DeltaFairness(i, c);
-      const double split = state.FairRemovalDelta(i) + state.FairInsertionDelta(i, c);
+      const double split = state.FairRemovalDelta(i) + ins[ci];
       if (std::fabs(split - exact) > tolerance * std::max(1.0, std::fabs(exact))) {
         return ::testing::AssertionFailure()
-               << "fairness table split " << split << " != DeltaFairness "
+               << "fairness table split " << split << " != fairness lane "
                << exact << " for point " << i << " -> " << c;
       }
     }
@@ -269,11 +391,11 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
     }
     for (int c = 0; c < k; ++c) {
       if (c == from) continue;
-      if (state.FairInsertionDelta(i, c) <
+      if (ins[static_cast<size_t>(c)] <
           state.fair_insertion_bound(c) - tolerance) {
         return ::testing::AssertionFailure()
                << "point " << i << " cluster " << c << ": insertion delta "
-               << state.FairInsertionDelta(i, c) << " below cluster bound "
+               << ins[static_cast<size_t>(c)] << " below cluster bound "
                << state.fair_insertion_bound(c);
       }
     }
@@ -283,7 +405,7 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
       for (int c = 0; c < k; ++c) {
         if (c == from) continue;
         const double delta =
-            km[static_cast<size_t>(c)] + lambda * state.DeltaFairness(i, c);
+            km[static_cast<size_t>(c)] + lambda * fair[static_cast<size_t>(c)];
         if (delta < -min_improvement) {
           return ::testing::AssertionFailure()
                  << "point " << i << " was pruned but moving to " << c

@@ -55,6 +55,26 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
                                size_t i, int to,
                                const core::FairnessTermConfig& config = {});
 
+/// \brief The per-candidate fairness delta of moving point i to `to` (0
+/// for its own cluster): the O(1)-per-attribute closed form of Eqs. 16-19
+/// priced one candidate at a time — removal half, insertion half, then
+/// w * norm * (removal + insertion) per attribute — from the state's live
+/// moment tables. The bit-exact oracle for
+/// FairKMState::DeltaFairnessAllClusters: every lane must equal it with ==.
+double OracleDeltaFairness(const core::FairKMState& state, size_t i, int to);
+
+/// \brief The per-candidate insertion-delta lookup: the sum over attributes
+/// of the cluster-major table entry cat_ins_delta[a][c * m_a + v] of
+/// `tables` (a checkpoint of `state` taken in its current state, bound
+/// tracking on) plus the numeric insertion terms. The bit-exact oracle for
+/// FairKMState::FairInsertionDeltaAllClusters.
+double OracleFairInsertionDelta(const core::FairKMState& state,
+                                const core::FairKMState::Checkpoint& tables,
+                                size_t i, int c);
+
+/// \brief Lane `to` of FairKMState::DeltaFairnessAllClusters for point i.
+double BatchedDeltaFairness(const core::FairKMState& state, size_t i, int to);
+
 /// \brief Compares every observable of `state` (assignment, cluster sizes,
 /// centroids, both objective terms) against scratch recomputation.
 ::testing::AssertionResult StateMatchesBruteForce(
@@ -84,7 +104,9 @@ cluster::Assignment BruteForceAssign(const data::Matrix& points,
 /// every point whose bounds are fresh:
 ///   * the distance upper/lower bounds bracket the exact (clamped,
 ///     expanded-form) centroid distances the sweep would compute,
-///   * FairRemovalDelta + FairInsertionDelta reproduces DeltaFairness,
+///   * every lane of DeltaFairnessAllClusters / FairInsertionDeltaAllClusters
+///     equals OracleDeltaFairness / OracleFairInsertionDelta bit for bit,
+///   * FairRemovalDelta + the insertion lane reproduces the fairness lane,
 ///   * the per-cluster fairness bounds lower-bound every resident/candidate
 ///     point's exact delta, and
 ///   * — the end-to-end soundness claim — whenever ShouldPrune(i) holds, no

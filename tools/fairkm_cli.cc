@@ -404,19 +404,12 @@ Status OnlineBench(const ArgParser& args) {
   return Status::OK();
 }
 
-// Shared tail of Run(): method-specific telemetry lines, the quality and
-// fairness report, and the optional input-plus-cluster-column output CSV.
+// Shared tail of Run(): the quality and fairness report and the optional
+// input-plus-cluster-column output CSV.
 Status Report(const ArgParser& args, const std::string& method,
               const data::Matrix& matrix, const data::SensitiveView& sensitive,
               cluster::ClusteringResult result, CsvTable csv) {
   const int k = static_cast<int>(args.GetInt("k"));
-  if (method == "fairkm") {
-    std::printf("FairKM: lambda = %g, %d iterations, converged = %s\n",
-                result.lambda_used, result.iterations,
-                result.converged ? "yes" : "no");
-    std::printf("sweep: %.1f ms, pruned %.1f%% of the candidate evaluations\n",
-                result.sweep_seconds * 1e3, result.pruned_fraction * 100.0);
-  }
   cluster::Assignment assignment = std::move(result.assignment);
 
   std::printf("n = %zu rows, %zu task attributes, k = %d, method = %s\n",
@@ -449,6 +442,27 @@ Status Report(const ArgParser& args, const std::string& method,
     std::printf("wrote %s\n", output.c_str());
   }
   return Status::OK();
+}
+
+// The FairKM telemetry lines every FairKM path prints before its Report:
+// the run summary and the sweep time with the pruned share of candidate
+// evaluations, split by the gate stage that rejected them (core/pruning.h).
+Status ReportFairKM(const ArgParser& args, const data::Matrix& matrix,
+                    const data::SensitiveView& sensitive,
+                    core::FairKMResult result, CsvTable csv) {
+  std::printf("FairKM: lambda = %g, %d iterations, converged = %s\n",
+              result.lambda_used, result.iterations,
+              result.converged ? "yes" : "no");
+  std::printf(
+      "sweep: %.1f ms, pruned %.1f%% of the candidate evaluations "
+      "(stage 1: %llu, stage 2: %llu of %llu)\n",
+      result.sweep_seconds * 1e3, result.pruned_fraction * 100.0,
+      static_cast<unsigned long long>(result.pruned_stage1_candidates),
+      static_cast<unsigned long long>(result.pruned_stage2_candidates),
+      static_cast<unsigned long long>(result.total_candidates));
+  return Report(args, "fairkm", matrix, sensitive,
+                std::move(static_cast<cluster::ClusteringResult&>(result)),
+                std::move(csv));
 }
 
 Status Run(const ArgParser& args) {
@@ -520,7 +534,6 @@ Status Run(const ArgParser& args) {
   if (args.GetBool("supervise") && method != "fairkm") {
     return Status::InvalidArgument("--supervise requires --method fairkm");
   }
-  std::unique_ptr<cluster::Clusterer> clusterer;
   if (method == "fairkm") {
     if (sensitive.empty()) {
       return Status::InvalidArgument("fairkm needs --sensitive attributes");
@@ -575,8 +588,8 @@ Status Run(const ArgParser& args) {
                   static_cast<unsigned long long>(stats.dir_fsync_failures));
       FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
                               runner.CurrentResult());
-      return Report(args, method, matrix, sensitive, std::move(fair_result),
-                    std::move(csv));
+      return ReportFairKM(args, matrix, sensitive, std::move(fair_result),
+                          std::move(csv));
     }
     if (store_spec.backend == data::PointStoreSpec::Backend::kMmap) {
       // Out-of-core path: materialize the (scaled) matrix once into the
@@ -617,17 +630,17 @@ Status Run(const ArgParser& args) {
                   RunStopName(stop));
       FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
                               sweep.solver().CurrentResult());
-      return Report(args, method, matrix, sensitive, std::move(fair_result),
-                    std::move(csv));
+      return ReportFairKM(args, matrix, sensitive, std::move(fair_result),
+                          std::move(csv));
     }
-    if (checkpoint_dir.empty()) {
-      clusterer = core::MakeFairKMClusterer(options);
-    } else {
-      // Durable-checkpoint path: drive the solver session directly so the
-      // run auto-checkpoints (core/checkpoint_io.h format: temp file +
-      // fsync + atomic rename, CRC-verified on read) and --resume can pick
-      // up where a crashed or cancelled run stopped.
-      core::RunBudget budget;
+    // In-memory path: drive the solver session directly (the run the
+    // "fairkm" clusterer makes, with the full FairKMResult kept for the
+    // telemetry lines). With --checkpoint-dir the run auto-checkpoints
+    // (core/checkpoint_io.h format: temp file + fsync + atomic rename,
+    // CRC-verified on read) and --resume can pick up where a crashed or
+    // cancelled run stopped.
+    core::RunBudget budget;
+    if (!checkpoint_dir.empty()) {
       budget.checkpoint_dir = checkpoint_dir;
       budget.checkpoint_every =
           static_cast<int>(args.GetInt("checkpoint-every"));
@@ -635,28 +648,30 @@ Status Run(const ArgParser& args) {
       if (budget.checkpoint_every <= 0) {
         return Status::InvalidArgument("--checkpoint-every must be positive");
       }
-      FAIRKM_ASSIGN_OR_RETURN(
-          core::FairKMSolver solver,
-          core::FairKMSolver::Create(&matrix, &sensitive, options));
-      FAIRKM_RETURN_NOT_OK(solver.Init(&rng));
-      FAIRKM_ASSIGN_OR_RETURN(const core::RunStop stop, solver.Run(budget));
+    }
+    FAIRKM_ASSIGN_OR_RETURN(
+        core::FairKMSolver solver,
+        core::FairKMSolver::Create(&matrix, &sensitive, options));
+    FAIRKM_RETURN_NOT_OK(solver.Init(&rng));
+    FAIRKM_ASSIGN_OR_RETURN(const core::RunStop stop, solver.Run(budget));
+    if (!checkpoint_dir.empty()) {
       std::printf("checkpoints: %s, every %d sweeps, stop = %s\n",
                   checkpoint_dir.c_str(), budget.checkpoint_every,
                   RunStopName(stop));
-      FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
-                              solver.CurrentResult());
-      return Report(args, method, matrix, sensitive, std::move(fair_result),
-                    std::move(csv));
     }
-  } else {
-    cluster::ClustererOptions options;
-    options.k = k;
-    options.lambda = args.GetDouble("lambda");
-    // <= 0 keeps each method's own default (K-Means: 100 Lloyd iterations,
-    // ZGYA: 30 sweeps).
-    options.max_iterations = static_cast<int>(args.GetInt("max-iterations"));
-    FAIRKM_ASSIGN_OR_RETURN(clusterer, cluster::CreateClusterer(method, options));
+    FAIRKM_ASSIGN_OR_RETURN(core::FairKMResult fair_result,
+                            solver.CurrentResult());
+    return ReportFairKM(args, matrix, sensitive, std::move(fair_result),
+                        std::move(csv));
   }
+  cluster::ClustererOptions options;
+  options.k = k;
+  options.lambda = args.GetDouble("lambda");
+  // <= 0 keeps each method's own default (K-Means: 100 Lloyd iterations,
+  // ZGYA: 30 sweeps).
+  options.max_iterations = static_cast<int>(args.GetInt("max-iterations"));
+  FAIRKM_ASSIGN_OR_RETURN(std::unique_ptr<cluster::Clusterer> clusterer,
+                          cluster::CreateClusterer(method, options));
   FAIRKM_ASSIGN_OR_RETURN(cluster::ClusteringResult result,
                           clusterer->Cluster(matrix, sensitive, &rng));
   return Report(args, method, matrix, sensitive, std::move(result),
