@@ -11,7 +11,10 @@ namespace core {
 namespace {
 
 constexpr uint32_t kMagic = 0x464B4D43;  // "CMKF" on disk, read as FKMC
-constexpr uint32_t kFormatVersion = 1;
+// Version 2 dropped the derived state (counts, norm caches, moments, bound
+// tables) from the state section; version-1 files still load, their derived
+// fields read and discarded.
+constexpr uint32_t kFormatVersion = 2;
 constexpr char kFaultScope[] = "checkpoint";
 
 // Section tags.
@@ -75,21 +78,6 @@ Status GetI32s(io::BinaryReader* r, std::vector<int32_t>* v) {
   return Status::OK();
 }
 
-void PutI64s(io::BinaryWriter* w, const std::vector<int64_t>& v) {
-  w->PutU64(v.size());
-  for (int64_t x : v) w->PutI64(x);
-}
-
-Status GetI64s(io::BinaryReader* r, std::vector<int64_t>* v) {
-  size_t n = 0;
-  FAIRKM_RETURN_NOT_OK(r->GetCount(sizeof(int64_t), &n));
-  v->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    FAIRKM_RETURN_NOT_OK(r->GetI64(&(*v)[i]));
-  }
-  return Status::OK();
-}
-
 void PutBytes8(io::BinaryWriter* w, const std::vector<uint8_t>& v) {
   w->PutU64(v.size());
   if (!v.empty()) w->PutBytes(v.data(), v.size());
@@ -105,39 +93,39 @@ Status GetBytes8(io::BinaryReader* r, std::vector<uint8_t>* v) {
   return Status::OK();
 }
 
-template <typename Inner, typename PutInner>
-void PutNested(io::BinaryWriter* w, const std::vector<Inner>& v,
-               PutInner put_inner) {
-  w->PutU64(v.size());
-  for (const Inner& inner : v) put_inner(w, inner);
-}
-
-template <typename Inner, typename GetInner>
-Status GetNested(io::BinaryReader* r, std::vector<Inner>* v,
-                 GetInner get_inner) {
-  size_t n = 0;
-  // Each non-empty inner vector costs at least its own u64 length header.
-  FAIRKM_RETURN_NOT_OK(r->GetCount(sizeof(uint64_t), &n));
-  v->clear();
-  v->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    FAIRKM_RETURN_NOT_OK(get_inner(r, &(*v)[i]));
-  }
-  return Status::OK();
-}
-
 void PutNestedDoubles(io::BinaryWriter* w,
                       const std::vector<std::vector<double>>& v) {
-  PutNested(w, v, [](io::BinaryWriter* w2, const std::vector<double>& inner) {
-    PutDoubles(w2, inner);
-  });
+  w->PutU64(v.size());
+  for (const std::vector<double>& inner : v) PutDoubles(w, inner);
 }
 
 Status GetNestedDoubles(io::BinaryReader* r,
                         std::vector<std::vector<double>>* v) {
-  return GetNested(r, v, [](io::BinaryReader* r2, std::vector<double>* inner) {
-    return GetDoubles(r2, inner);
-  });
+  size_t n = 0;
+  // Each inner vector costs at least its own u64 length header.
+  FAIRKM_RETURN_NOT_OK(r->GetCount(sizeof(uint64_t), &n));
+  v->assign(n, {});
+  for (std::vector<double>& inner : *v) {
+    FAIRKM_RETURN_NOT_OK(GetDoubles(r, &inner));
+  }
+  return Status::OK();
+}
+
+// Skip one length-prefixed vector of 8-byte elements / `count` nested
+// vectors of them (each a length prefix, then that many vectors).
+Status SkipVector(io::BinaryReader* r) {
+  size_t n = 0;
+  FAIRKM_RETURN_NOT_OK(r->GetCount(sizeof(uint64_t), &n));
+  return r->Skip(n * sizeof(uint64_t));
+}
+
+Status SkipNested(io::BinaryReader* r, int count) {
+  for (int i = 0; i < count; ++i) {
+    size_t n = 0;
+    FAIRKM_RETURN_NOT_OK(r->GetCount(sizeof(uint64_t), &n));
+    for (size_t j = 0; j < n; ++j) FAIRKM_RETURN_NOT_OK(SkipVector(r));
+  }
+  return Status::OK();
 }
 
 // ---- sections ---------------------------------------------------------
@@ -201,74 +189,71 @@ Status DecodeMeta(const std::string& payload, SolverCheckpoint* cp) {
 std::string EncodeState(const FairKMState::Checkpoint& st) {
   io::BinaryWriter w;
   PutI32s(&w, st.assignment);
-  PutSizes(&w, st.counts);
   PutDoubles(&w, st.sums);
-  PutDoubles(&w, st.sum_norms);
-  PutNested(&w, st.cat_counts,
-            [](io::BinaryWriter* w2, const std::vector<int64_t>& inner) {
-              PutI64s(w2, inner);
-            });
   PutNestedDoubles(&w, st.num_sums);
-  PutNestedDoubles(&w, st.cat_u2);
-  PutNestedDoubles(&w, st.cat_uq);
   w.PutU8(st.use_snapshot ? 1 : 0);
   PutSizes(&w, st.proto_counts);
   PutDoubles(&w, st.proto_sums);
-  PutDoubles(&w, st.proto_sum_norms);
   w.PutU8(st.track_bounds ? 1 : 0);
   PutDoubles(&w, st.drift);
   w.PutDouble(st.max_step_sum);
-  PutNestedDoubles(&w, st.cat_rem_delta);
-  PutNestedDoubles(&w, st.cat_ins_delta);
-  PutDoubles(&w, st.fair_rem_bound);
-  PutDoubles(&w, st.fair_ins_bound);
-  w.PutDouble(st.ins_best);
-  w.PutDouble(st.ins_second);
-  w.PutU32(static_cast<uint32_t>(st.ins_best_cluster));
-  w.PutDouble(st.addf_best);
-  w.PutDouble(st.addf_second);
-  w.PutU32(static_cast<uint32_t>(st.addf_best_cluster));
   return w.Release();
 }
 
-Status DecodeState(const std::string& payload, FairKMState::Checkpoint* st) {
+// The v2 state section is the v1 one with the derived fields left out;
+// a v1 file's derived fields are read past, never trusted.
+Status DecodeState(const std::string& payload, uint32_t version,
+                   FairKMState::Checkpoint* st) {
   io::BinaryReader r(payload);
+  const bool v1 = version < 2;
   uint8_t u8 = 0;
-  uint32_t u32 = 0;
   FAIRKM_RETURN_NOT_OK(GetI32s(&r, &st->assignment));
-  FAIRKM_RETURN_NOT_OK(GetSizes(&r, &st->counts));
+  if (v1) FAIRKM_RETURN_NOT_OK(SkipVector(&r));  // counts
   FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->sums));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->sum_norms));
-  FAIRKM_RETURN_NOT_OK(GetNested(
-      &r, &st->cat_counts,
-      [](io::BinaryReader* r2, std::vector<int64_t>* inner) {
-        return GetI64s(r2, inner);
-      }));
+  if (v1) FAIRKM_RETURN_NOT_OK(SkipVector(&r));     // sum_norms
+  if (v1) FAIRKM_RETURN_NOT_OK(SkipNested(&r, 1));  // cat_counts
   FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->num_sums));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_u2));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_uq));
+  if (v1) FAIRKM_RETURN_NOT_OK(SkipNested(&r, 2));  // cat_u2, cat_uq
   FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));
   st->use_snapshot = u8 != 0;
   FAIRKM_RETURN_NOT_OK(GetSizes(&r, &st->proto_counts));
   FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->proto_sums));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->proto_sum_norms));
+  if (v1) FAIRKM_RETURN_NOT_OK(SkipVector(&r));  // proto_sum_norms
   FAIRKM_RETURN_NOT_OK(r.GetU8(&u8));
   st->track_bounds = u8 != 0;
   FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->drift));
   FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->max_step_sum));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_rem_delta));
-  FAIRKM_RETURN_NOT_OK(GetNestedDoubles(&r, &st->cat_ins_delta));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->fair_rem_bound));
-  FAIRKM_RETURN_NOT_OK(GetDoubles(&r, &st->fair_ins_bound));
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->ins_best));
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->ins_second));
-  FAIRKM_RETURN_NOT_OK(r.GetU32(&u32));
-  st->ins_best_cluster = static_cast<int>(u32);
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->addf_best));
-  FAIRKM_RETURN_NOT_OK(r.GetDouble(&st->addf_second));
-  FAIRKM_RETURN_NOT_OK(r.GetU32(&u32));
-  st->addf_best_cluster = static_cast<int>(u32);
+  if (v1) {
+    FAIRKM_RETURN_NOT_OK(SkipNested(&r, 2));  // removal/insertion tables
+    FAIRKM_RETURN_NOT_OK(SkipVector(&r));     // fair_rem_bound
+    FAIRKM_RETURN_NOT_OK(SkipVector(&r));     // fair_ins_bound
+    // ins_best, ins_second, ins_best_cluster, addf_best, addf_second,
+    // addf_best_cluster.
+    FAIRKM_RETURN_NOT_OK(r.Skip(2 * (2 * sizeof(double) + sizeof(uint32_t))));
+  }
   return r.ExpectFullyConsumed();
+}
+
+// Every primary length follows from the file's own n, k and stride
+// (sums.size() / k), and every cluster id from its k: one that contradicts
+// them is corruption, not a file for some other solver.
+Status CheckStateShape(const SolverCheckpoint& cp, const std::string& path) {
+  const FairKMState::Checkpoint& st = cp.state;
+  const size_t k = cp.k > 0 ? static_cast<size_t>(cp.k) : 0;
+  bool ok = k > 0 && st.assignment.size() == cp.num_rows &&
+            st.sums.size() % k == 0 &&
+            st.proto_sums.size() == st.sums.size() &&
+            st.proto_counts.size() == k &&
+            (!st.track_bounds || st.drift.size() == k);
+  for (const std::vector<double>& row : st.num_sums) {
+    ok = ok && row.size() == k;
+  }
+  for (const int32_t c : st.assignment) {
+    ok = ok && c >= 0 && static_cast<size_t>(c) < k;
+  }
+  if (ok) return Status::OK();
+  return Status::DataLoss(
+      "checkpoint state lengths contradict its own n/k/stride: " + path);
 }
 
 std::string EncodePruner(const SweepPruner::Checkpoint& pr) {
@@ -322,13 +307,17 @@ Status AsDataLoss(Status st, const char* what, const std::string& path) {
 
 }  // namespace
 
-Status WriteSolverCheckpoint(const std::string& path,
-                             const SolverCheckpoint& cp) {
+Status WriteSolverCheckpoint(const std::string& path, SolverCheckpoint cp) {
+  // Each source table is freed once its section is encoded, so the
+  // snapshot, the encoded sections and the framed file buffer never all
+  // coexist.
   std::vector<io::Section> sections;
   sections.push_back({kSectionMeta, EncodeMeta(cp)});
   sections.push_back({kSectionState, EncodeState(cp.state)});
+  cp.state = FairKMState::Checkpoint();
   if (cp.has_pruner) {
     sections.push_back({kSectionPruner, EncodePruner(cp.pruner)});
+    cp.pruner = SweepPruner::Checkpoint();
     sections.push_back({kSectionPruneStages, EncodePruneStages(cp)});
   }
   return io::WriteSectionFile(path, kMagic, kFormatVersion, sections,
@@ -347,8 +336,9 @@ Result<SolverCheckpoint> ReadSolverCheckpoint(const std::string& path) {
   }
   FAIRKM_RETURN_NOT_OK(AsDataLoss(DecodeMeta(meta->payload, &cp), "meta",
                                   path));
-  FAIRKM_RETURN_NOT_OK(
-      AsDataLoss(DecodeState(state->payload, &cp.state), "state", path));
+  FAIRKM_RETURN_NOT_OK(AsDataLoss(
+      DecodeState(state->payload, file.version, &cp.state), "state", path));
+  FAIRKM_RETURN_NOT_OK(CheckStateShape(cp, path));
   if (cp.has_pruner) {
     const io::Section* pruner = file.Find(kSectionPruner);
     if (pruner == nullptr) {

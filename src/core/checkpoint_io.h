@@ -1,20 +1,31 @@
 // Durable on-disk form of core::SolverCheckpoint.
 //
 // The file is a section container (common/io.h) with magic "FKMC" and three
-// sections: run metadata, the FairKMState float aggregates, and (when the
-// run prunes) the SweepPruner bound tables, followed in pruned runs by an
+// sections: run metadata, the FairKMState primary state, and (when the run
+// prunes) the SweepPruner bound tables, followed in pruned runs by an
 // optional fourth holding the stage-1 share of the pruned-candidate count
-// (older files lack it and still load). Every double is stored as its
-// raw 8-byte image, so a solver restored from disk replays the exact
+// (older files lack it and still load). Every double is stored as its raw
+// 8-byte image, so a solver restored from disk replays the exact
 // trajectory of the in-memory Snapshot()/Restore() path — bit-identical
 // assignments, objective history, and pruning counters.
 //
-// Corruption (torn write, truncation, bit rot) reads as kDataLoss — the
-// signal FairKMSolver::ResumeFromCheckpointDir uses to fall back to the
-// previous good checkpoint. A file written by a NEWER format version reads
-// as kInvalidArgument (intact file, too-old binary), and so does one whose
-// meta section sets the retired parallel-sweep byte (the removed
-// snapshot-parallel mode; writers always emit 0 there).
+// Format version 2 stores only the primary state (FairKMState::Checkpoint:
+// assignment, feature and numeric-attribute sums, prototype snapshot, drift
+// accumulators); the counts, norm caches, fairness moments and bound tables
+// are recomputed on load. Version-1 files, which also carry those derived
+// fields, still load: the reader skips the derived fields and recomputes
+// them the same way.
+//
+// Corruption (torn write, truncation, bit rot, or a primary length or
+// cluster id that contradicts the file's own n, k or stride) reads as
+// kDataLoss — the
+// signal FairKMSolver::ResumeFromCheckpointDir uses to quarantine the file
+// and fall back to the previous good checkpoint. A file written by a NEWER
+// format version reads as kInvalidArgument (intact file, too-old binary),
+// and so does one whose meta section sets the retired parallel-sweep byte
+// (the removed snapshot-parallel mode; writers always emit 0 there). A
+// consistent file that does not fit the loading solver fails the load with
+// kInvalidArgument.
 
 #ifndef FAIRKM_CORE_CHECKPOINT_IO_H_
 #define FAIRKM_CORE_CHECKPOINT_IO_H_
@@ -29,13 +40,14 @@ namespace fairkm {
 namespace core {
 
 /// \brief Durably writes `cp` to `path` (temp + fsync + atomic rename).
-/// Fault scope "checkpoint" (checkpoint.open/.write/.fsync/.rename).
-Status WriteSolverCheckpoint(const std::string& path,
-                             const SolverCheckpoint& cp);
+/// Fault scope "checkpoint" (checkpoint.open/.write/.fsync/.rename). Takes
+/// `cp` by value and frees each table once it is encoded: a caller that
+/// moves its snapshot in never holds it alongside the whole file image.
+Status WriteSolverCheckpoint(const std::string& path, SolverCheckpoint cp);
 
-/// \brief Reads and verifies a checkpoint file. kDataLoss on corruption,
-/// kNotFound when absent, kInvalidArgument on a newer format version or a
-/// checkpoint of the removed parallel sweep mode.
+/// \brief Reads and verifies a checkpoint file (format version 1 or 2).
+/// kDataLoss on corruption, kNotFound when absent, kInvalidArgument on a
+/// newer format version or a checkpoint of the removed parallel sweep mode.
 Result<SolverCheckpoint> ReadSolverCheckpoint(const std::string& path);
 
 /// \brief Canonical file name of the checkpoint taken after

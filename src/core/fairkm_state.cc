@@ -78,8 +78,8 @@ void FairKMState::BuildAggregates(cluster::Assignment initial) {
   // The per-point norm cache is built once per state; a Reset over the same
   // rows skips that O(n d) pass and its allocation — the multi-seed fast
   // path. RebuildFromStore clears it to force a fresh pass.
-  const size_t chunk_rows = ResidencyChunkRows(stride_);
   if (point_norms_.size() != n_) {
+    const size_t chunk_rows = ResidencyChunkRows(stride_);
     point_norms_.assign(n_, 0.0);
     total_point_norm_ = 0.0;
     for (size_t base = 0; base < n_; base += chunk_rows) {
@@ -92,66 +92,91 @@ void FairKMState::BuildAggregates(cluster::Assignment initial) {
       store_->EvictRows(base, end);
     }
   }
-  counts_.assign(static_cast<size_t>(k_), 0);
-  sums_.assign(static_cast<size_t>(k_) * stride_, 0.0);
+  SumRows(assignment_, &sums_, &moments_.num_sums);
+  CountAssignment();
+  proto_counts_ = counts_;
+  proto_sums_ = sums_;
+  DeriveAggregates();
+}
+
+void FairKMState::SumRows(const cluster::Assignment& assignment,
+                          data::AlignedVector* sums,
+                          std::vector<std::vector<double>>* num_sums) const {
+  const size_t k = static_cast<size_t>(k_);
+  sums->assign(k * stride_, 0.0);
+  // Resize the outer vector once, .assign() the inner ones so repeated
+  // Resets reuse their capacity.
+  num_sums->resize(sensitive_->numeric.size());
+  for (std::vector<double>& row : *num_sums) row.assign(k, 0.0);
+  const size_t chunk_rows = ResidencyChunkRows(stride_);
   for (size_t base = 0; base < n_; base += chunk_rows) {
     const size_t end = std::min(n_, base + chunk_rows);
     for (size_t i = base; i < end; ++i) {
-      const size_t c = static_cast<size_t>(assignment_[i]);
-      ++counts_[c];
+      const size_t c = static_cast<size_t>(assignment[i]);
       const double* row = store_->Row(i);
-      double* acc = sums_.data() + c * stride_;
+      double* acc = sums->data() + c * stride_;
       for (size_t j = 0; j < d_; ++j) acc[j] += row[j];
+      for (size_t a = 0; a < num_sums->size(); ++a) {
+        (*num_sums)[a][c] += sensitive_->numeric[a].values[i];
+      }
     }
     store_->EvictRows(base, end);
   }
-  sum_norms_.assign(static_cast<size_t>(k_), 0.0);
-  for (int c = 0; c < k_; ++c) {
-    const double* s = sums_.data() + static_cast<size_t>(c) * stride_;
-    sum_norms_[static_cast<size_t>(c)] = kernels::Dot(s, s, stride_);
+}
+
+void FairKMState::CountAssignment() {
+  const size_t k = static_cast<size_t>(k_);
+  counts_.assign(k, 0);
+  moments_.cat_counts.resize(sensitive_->categorical.size());
+  for (size_t a = 0; a < moments_.cat_counts.size(); ++a) {
+    moments_.cat_counts[a].assign(
+        k * static_cast<size_t>(sensitive_->categorical[a].cardinality), 0);
   }
-  // Per-attribute aggregates: resize the outer vectors once, .assign() the
-  // inner ones so repeated Resets reuse their capacity.
+  for (size_t i = 0; i < n_; ++i) {
+    const size_t c = static_cast<size_t>(assignment_[i]);
+    ++counts_[c];
+    for (size_t a = 0; a < moments_.cat_counts.size(); ++a) {
+      const auto& attr = sensitive_->categorical[a];
+      ++moments_.cat_counts[a][c * static_cast<size_t>(attr.cardinality) +
+                               static_cast<size_t>(attr.codes[i])];
+    }
+  }
+}
+
+void FairKMState::DeriveAggregates() {
+  const size_t k = static_cast<size_t>(k_);
+  // The norm caches hold exactly the kernels::Dot that Move computes.
+  sum_norms_.resize(k);
+  proto_sum_norms_.resize(k);
+  for (size_t c = 0; c < k; ++c) {
+    const double* s = sums_.data() + c * stride_;
+    const double* p = proto_sums_.data() + c * stride_;
+    sum_norms_[c] = kernels::Dot(s, s, stride_);
+    proto_sum_norms_[c] = kernels::Dot(p, p, stride_);
+  }
   const size_t num_cat = sensitive_->categorical.size();
-  const size_t num_num = sensitive_->numeric.size();
-  moments_.cat_counts.resize(num_cat);
-  for (size_t a = 0; a < num_cat; ++a) {
-    const auto& attr = sensitive_->categorical[a];
-    std::vector<int64_t>& counts = moments_.cat_counts[a];
-    counts.assign(static_cast<size_t>(k_) * attr.cardinality, 0);
-    for (size_t i = 0; i < n_; ++i) {
-      ++counts[static_cast<size_t>(assignment_[i]) * attr.cardinality +
-               attr.codes[i]];
-    }
-  }
-  moments_.num_sums.resize(num_num);
-  for (size_t a = 0; a < num_num; ++a) {
-    const auto& attr = sensitive_->numeric[a];
-    std::vector<double>& sums = moments_.num_sums[a];
-    sums.assign(static_cast<size_t>(k_), 0.0);
-    for (size_t i = 0; i < n_; ++i) {
-      sums[static_cast<size_t>(assignment_[i])] += attr.values[i];
-    }
-  }
   moments_.cat_u2.resize(num_cat);
   moments_.cat_uq.resize(num_cat);
-  moments_.cat_q2.assign(num_cat, 0.0);
+  moments_.cat_q2.resize(num_cat);
   for (size_t a = 0; a < num_cat; ++a) {
     const auto& attr = sensitive_->categorical[a];
-    moments_.cat_u2[a].assign(static_cast<size_t>(k_), 0.0);
-    moments_.cat_uq[a].assign(static_cast<size_t>(k_), 0.0);
     double q2 = 0.0;
     for (int s = 0; s < attr.cardinality; ++s) {
       q2 += attr.dataset_fractions[s] * attr.dataset_fractions[s];
     }
     moments_.cat_q2[a] = q2;
+    moments_.cat_u2[a].resize(k);
+    moments_.cat_uq[a].resize(k);
     for (int c = 0; c < k_; ++c) RecomputeCatMoments(a, c);
   }
   RebuildLaneMirrors();
-  proto_counts_ = counts_;
-  proto_sums_ = sums_;
-  proto_sum_norms_ = sum_norms_;
   SyncAllKMeansFactors();
+  if (track_bounds_) {
+    // The fairness tables are a pure function of the counts just derived:
+    // the lazy path recomputes them at their next read.
+    for (size_t c = 0; c < k; ++c) MarkFairBoundsDirty(c);
+    RescanAdditionFactors();
+  }
 }
 
 void FairKMState::SyncKMeansFactors(size_t c) {
@@ -315,17 +340,7 @@ Status FairKMState::RetireSwapped(size_t r) {
 }
 
 void FairKMState::RefreshDatasetStats() {
-  for (size_t a = 0; a < sensitive_->categorical.size(); ++a) {
-    const auto& attr = sensitive_->categorical[a];
-    double q2 = 0.0;
-    for (int s = 0; s < attr.cardinality; ++s) {
-      q2 += attr.dataset_fractions[s] * attr.dataset_fractions[s];
-    }
-    moments_.cat_q2[a] = q2;
-    for (int c = 0; c < k_; ++c) RecomputeCatMoments(a, c);
-  }
-  // Every ClusterScale depends on n, which admits and retires changed.
-  for (size_t c = 0; c < static_cast<size_t>(k_); ++c) SyncLaneCluster(c);
+  DeriveAggregates();
   if (track_bounds_) EnableBoundTracking(true);
 }
 
@@ -786,54 +801,27 @@ int FairKMState::BestInsertion(const double* x, const int32_t* codes,
 }
 
 void FairKMState::SaveCheckpoint(Checkpoint* out) const {
-  SyncFairBounds();
   out->assignment = assignment_;
-  out->counts = counts_;
   out->sums = sums_;
-  out->sum_norms = sum_norms_;
-  out->cat_counts = moments_.cat_counts;
   out->num_sums = moments_.num_sums;
-  out->cat_u2 = moments_.cat_u2;
-  out->cat_uq = moments_.cat_uq;
   out->use_snapshot = use_snapshot_;
   out->proto_counts = proto_counts_;
   out->proto_sums = proto_sums_;
-  out->proto_sum_norms = proto_sum_norms_;
   out->track_bounds = track_bounds_;
   out->drift = drift_;
   out->max_step_sum = max_step_sum_;
-  out->cat_rem_delta = cat_rem_delta_;
-  // The live insertion table is value-major; the checkpoint keeps the
-  // cluster-major layout of its on-disk format.
-  const size_t k = static_cast<size_t>(k_);
-  out->cat_ins_delta.resize(cat_ins_delta_.size());
-  for (size_t a = 0; a < cat_ins_delta_.size(); ++a) {
-    const size_t m =
-        static_cast<size_t>(sensitive_->categorical[a].cardinality);
-    std::vector<double>& dst = out->cat_ins_delta[a];
-    dst.resize(k * m);
-    for (size_t c = 0; c < k; ++c) {
-      for (size_t v = 0; v < m; ++v) {
-        dst[c * m + v] = cat_ins_delta_[a][v * k + c];
-      }
-    }
-  }
-  out->fair_rem_bound = fair_rem_bound_;
-  out->fair_ins_bound = fair_ins_bound_;
-  out->ins_best = ins_best_;
-  out->ins_second = ins_second_;
-  out->ins_best_cluster = ins_best_cluster_;
-  out->addf_best = addf_best_;
-  out->addf_second = addf_second_;
-  out->addf_best_cluster = addf_best_cluster_;
 }
 
 Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
   FAIRKM_RETURN_NOT_OK(cluster::ValidateAssignment(cp.assignment, n_, k_));
-  if (cp.counts.size() != static_cast<size_t>(k_) ||
-      cp.sums.size() != static_cast<size_t>(k_) * stride_ ||
-      cp.cat_counts.size() != sensitive_->categorical.size() ||
-      cp.num_sums.size() != sensitive_->numeric.size()) {
+  const size_t k = static_cast<size_t>(k_);
+  bool fits = cp.sums.size() == k * stride_ &&
+              cp.proto_sums.size() == k * stride_ &&
+              cp.proto_counts.size() == k &&
+              cp.num_sums.size() == sensitive_->numeric.size() &&
+              (!cp.track_bounds || cp.drift.size() == k);
+  for (const auto& row : cp.num_sums) fits = fits && row.size() == k;
+  if (!fits) {
     return Status::InvalidArgument(
         "checkpoint shape does not match this state's points/sensitive/k");
   }
@@ -841,57 +829,40 @@ Status FairKMState::RestoreCheckpoint(const Checkpoint& cp) {
     return Status::InvalidArgument(
         "checkpoint was taken under different snapshot/bound-tracking modes");
   }
-  const size_t k = static_cast<size_t>(k_);
-  for (size_t a = 0; a < cp.cat_counts.size(); ++a) {
-    const size_t cells =
-        k * static_cast<size_t>(sensitive_->categorical[a].cardinality);
-    if (cp.cat_counts[a].size() != cells ||
-        (track_bounds_ && (cp.cat_ins_delta.size() != cp.cat_counts.size() ||
-                           cp.cat_ins_delta[a].size() != cells))) {
-      return Status::InvalidArgument(
-          "checkpoint count/delta tables do not match this state's k and "
-          "attribute cardinalities");
+  // The sums are primary, so a recount under the checkpoint's assignment
+  // must reproduce them up to the rounding an incremental run accumulates
+  // (far below 1e-9 of a column's absolute sum, which sqrt(n sum ||x||^2)
+  // bounds): a checkpoint of other data never loads as a plausible model.
+  data::AlignedVector sums;
+  std::vector<std::vector<double>> num_sums;
+  SumRows(cp.assignment, &sums, &num_sums);
+  double tol = 1e-9 * std::sqrt(static_cast<double>(n_) * total_point_norm_);
+  bool agree = true;
+  for (size_t e = 0; e < sums.size(); ++e) {
+    agree = agree && std::fabs(cp.sums[e] - sums[e]) <= tol;
+  }
+  for (size_t a = 0; a < num_sums.size(); ++a) {
+    tol = 0.0;
+    for (const double v : sensitive_->numeric[a].values) {
+      tol += 1e-9 * std::fabs(v);
     }
+    for (size_t c = 0; c < k; ++c) {
+      agree = agree && std::fabs(cp.num_sums[a][c] - num_sums[a][c]) <= tol;
+    }
+  }
+  if (!agree) {
+    return Status::InvalidArgument(
+        "checkpoint sums disagree with this state's rows under its assignment");
   }
   assignment_ = cp.assignment;
-  counts_ = cp.counts;
   sums_ = cp.sums;
-  sum_norms_ = cp.sum_norms;
-  moments_.cat_counts = cp.cat_counts;
   moments_.num_sums = cp.num_sums;
-  moments_.cat_u2 = cp.cat_u2;
-  moments_.cat_uq = cp.cat_uq;
   proto_counts_ = cp.proto_counts;
   proto_sums_ = cp.proto_sums;
-  proto_sum_norms_ = cp.proto_sum_norms;
   drift_ = cp.drift;
   max_step_sum_ = cp.max_step_sum;
-  cat_rem_delta_ = cp.cat_rem_delta;
-  cat_ins_delta_.resize(cp.cat_ins_delta.size());
-  for (size_t a = 0; a < cp.cat_ins_delta.size(); ++a) {
-    const size_t m =
-        static_cast<size_t>(sensitive_->categorical[a].cardinality);
-    std::vector<double>& dst = cat_ins_delta_[a];
-    dst.resize(k * m);
-    for (size_t c = 0; c < k; ++c) {
-      for (size_t v = 0; v < m; ++v) {
-        dst[v * k + c] = cp.cat_ins_delta[a][c * m + v];
-      }
-    }
-  }
-  fair_rem_bound_ = cp.fair_rem_bound;
-  fair_ins_bound_ = cp.fair_ins_bound;
-  ins_best_ = cp.ins_best;
-  ins_second_ = cp.ins_second;
-  ins_best_cluster_ = cp.ins_best_cluster;
-  // The restored tables are the checkpoint's synced ones.
-  fair_dirty_.assign(track_bounds_ ? static_cast<size_t>(k_) : 0, 0);
-  fair_dirty_count_ = 0;
-  addf_best_ = cp.addf_best;
-  addf_second_ = cp.addf_second;
-  addf_best_cluster_ = cp.addf_best_cluster;
-  RebuildLaneMirrors();
-  SyncAllKMeansFactors();
+  CountAssignment();
+  DeriveAggregates();
   return Status::OK();
 }
 

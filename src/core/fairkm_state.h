@@ -76,12 +76,14 @@
 // kernels against them and against scratch recomputation to 1e-9, and the
 // scaling bench uses them as the "before" timing baseline.
 //
-// Lane mirrors and checkpoints: the value-major count / size / scale rows
-// are derived state, rebuilt from the integer counts on Reset,
-// RebuildFromStore, RefreshDatasetStats and RestoreCheckpoint. The
-// insertion table is held value-major only; SaveCheckpoint /
-// RestoreCheckpoint transpose it so Checkpoint::cat_ins_delta (and the
-// on-disk checkpoint format) stays cluster-major.
+// Lane mirrors and checkpoints: everything but the assignment, the feature
+// and numeric-attribute sums, the prototype snapshot and the drift
+// accumulators is derived state — the counts tables, the norm caches, the
+// U2/UQ moments, the value-major lane mirrors, the K-Means factor rows and
+// the bound tables. A Checkpoint carries only that primary state;
+// RestoreCheckpoint re-derives the rest through DeriveAggregates, the same
+// routine Reset, RebuildFromStore and RefreshDatasetStats run, so nothing
+// derived is ever read from outside bytes.
 
 #ifndef FAIRKM_CORE_FAIRKM_STATE_H_
 #define FAIRKM_CORE_FAIRKM_STATE_H_
@@ -131,37 +133,29 @@ class FairKMState {
   /// is recomputed from scratch (zero drift, fresh tables).
   Status Reset(cluster::Assignment initial);
 
-  /// \brief Full copy of the per-assignment mutable state (everything except
-  /// the immutable point store / norm caches), the payload of
-  /// core::FairKMSolver checkpoints. Restoring it reproduces the exact
-  /// floating-point aggregates — including the incremental summation order
-  /// baked into the sums — so resumed trajectories are bit-identical.
+  /// \brief The primary per-assignment state, the payload of
+  /// core::FairKMSolver checkpoints: the assignment, the float sums (whose
+  /// incremental summation order a recount would not reproduce), the
+  /// prototype snapshot and the drift accumulators. Everything else is a
+  /// deterministic function of these and is recomputed on restore, so a
+  /// resumed trajectory is bit-identical on the same kernel backend.
   struct Checkpoint {
     cluster::Assignment assignment;
-    std::vector<size_t> counts;
-    data::AlignedVector sums;
-    std::vector<double> sum_norms;
-    std::vector<std::vector<int64_t>> cat_counts;
-    std::vector<std::vector<double>> num_sums;
-    std::vector<std::vector<double>> cat_u2, cat_uq;
+    data::AlignedVector sums;                   ///< k x stride.
+    std::vector<std::vector<double>> num_sums;  ///< [a][c].
     bool use_snapshot = false;
-    std::vector<size_t> proto_counts;
-    data::AlignedVector proto_sums;
-    std::vector<double> proto_sum_norms;
+    std::vector<size_t> proto_counts;           ///< k.
+    data::AlignedVector proto_sums;             ///< k x stride.
     bool track_bounds = false;
-    std::vector<double> drift;
+    std::vector<double> drift;                  ///< k when track_bounds.
     double max_step_sum = 0.0;
-    /// Cluster-major, [a][c * m_a + v] (the on-disk layout).
-    std::vector<std::vector<double>> cat_rem_delta, cat_ins_delta;
-    std::vector<double> fair_rem_bound, fair_ins_bound;
-    double ins_best = 0.0, ins_second = 0.0;
-    int ins_best_cluster = -1;
-    double addf_best = 0.0, addf_second = 0.0;
-    int addf_best_cluster = -1;
   };
   void SaveCheckpoint(Checkpoint* out) const;
   /// \brief Restores a checkpoint taken from a state over the same
-  /// points/sensitive/k and the same snapshot/bound-tracking modes.
+  /// points/sensitive/k and the same snapshot/bound-tracking modes, then
+  /// re-derives every other aggregate (DeriveAggregates). kInvalidArgument
+  /// when the shapes or modes differ, or when the sums disagree with this
+  /// state's rows under the checkpoint's assignment.
   Status RestoreCheckpoint(const Checkpoint& cp);
 
   // --- Online growth hooks (src/online/). The caller mutates the backing
@@ -408,6 +402,20 @@ class FairKMState {
               FairnessTermConfig config);
 
   void BuildAggregates(cluster::Assignment initial);
+
+  // Sums the rows' features / numeric values per cluster of `assignment`
+  // in the canonical chunked row order of a fresh build.
+  void SumRows(const cluster::Assignment& assignment,
+               data::AlignedVector* sums,
+               std::vector<std::vector<double>>* num_sums) const;
+  // Counts the cluster sizes and value counts from assignment_. O(n |S|).
+  void CountAssignment();
+  // Re-derives every pure function of the counts, both sums matrices and
+  // the dataset statistics: norm caches, Q2/U2/UQ moments, lane mirrors,
+  // K-Means factor rows and, with bound tracking, the bound tables (marked
+  // dirty for the lazy path) and the addition-factor pair. Drift is primary
+  // and left alone.
+  void DeriveAggregates();
 
   // Recomputes the U2/UQ moments for one (attribute, cluster) pair from the
   // exact integer counts. O(m_a).

@@ -458,7 +458,7 @@ Status FairKMSolver::Restore(const SolverCheckpoint& cp) {
 
 Status FairKMSolver::SaveCheckpoint(const std::string& path) const {
   FAIRKM_ASSIGN_OR_RETURN(SolverCheckpoint cp, Snapshot());
-  return WriteSolverCheckpoint(path, cp);
+  return WriteSolverCheckpoint(path, std::move(cp));
 }
 
 Status FairKMSolver::LoadCheckpoint(const std::string& path) {

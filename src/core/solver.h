@@ -20,9 +20,10 @@
 //     that batch boundary with all aggregates consistent and queryable
 //     (CurrentResult / Assign / state() all work), and a later Sweep/Run
 //     resumes exactly where it stopped.
-//   * Snapshot()/Restore() checkpoint the full mutable float state
-//     (aggregates in their incremental summation order, pruner bounds,
-//     sweep cursor), so a restored run replays the EXACT trajectory of an
+//   * Snapshot()/Restore() checkpoint the primary mutable state (sums in
+//     their incremental summation order, prototype snapshot, drift, pruner
+//     bounds, sweep cursor; Restore re-derives the rest from it), so a
+//     restored run replays the EXACT trajectory of an
 //     uninterrupted one — bit-identical assignments, objective history and
 //     pruning counters — in every mini-batch x kernel backend x pruning
 //     setting.

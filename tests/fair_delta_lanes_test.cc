@@ -41,8 +41,6 @@ class FairDeltaLanesTest : public ::testing::TestWithParam<LaneParam> {
 void ExpectAllLanesExact(const core::FairKMState& state, const char* phase) {
   SCOPED_TRACE(phase);
   const size_t k = static_cast<size_t>(state.k());
-  core::FairKMState::Checkpoint tables;
-  state.SaveCheckpoint(&tables);
   std::vector<double> fair(k), ins(k);
   for (size_t i = 0; i < state.num_rows(); ++i) {
     state.DeltaFairnessAllClusters(i, fair.data());
@@ -51,7 +49,7 @@ void ExpectAllLanesExact(const core::FairKMState& state, const char* phase) {
       const int to = static_cast<int>(c);
       EXPECT_EQ(fair[c], OracleDeltaFairness(state, i, to))
           << "point " << i << " -> " << c;
-      EXPECT_EQ(ins[c], OracleFairInsertionDelta(state, tables, i, to))
+      EXPECT_EQ(ins[c], OracleFairInsertionDelta(state, i, to))
           << "point " << i << " -> " << c;
     }
     if (::testing::Test::HasFailure()) return;

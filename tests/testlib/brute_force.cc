@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/rng.h"
+#include "core/kernels/kernels.h"
 
 namespace fairkm {
 namespace testutil {
@@ -221,18 +222,35 @@ double OracleDeltaFairness(const core::FairKMState& state, size_t i, int to) {
   return delta;
 }
 
-double OracleFairInsertionDelta(const core::FairKMState& state,
-                                const core::FairKMState::Checkpoint& tables,
-                                size_t i, int c) {
+double OracleFairInsertionDelta(const core::FairKMState& state, size_t i,
+                                int c) {
   const data::SensitiveView& sensitive = state.sensitive();
+  const core::FairnessMomentTables& moments = state.fairness_moments();
   const core::ClusterWeighting weighting = state.config().weighting;
   const size_t n = state.num_rows();
   const size_t ci = static_cast<size_t>(c);
+  const size_t cnt = state.cluster_size(c);
+  const double scale_before = core::ClusterScale(weighting, cnt, n);
+  const double scale_ins_after = core::ClusterScale(weighting, cnt + 1, n);
+  const double scale_rem_after =
+      cnt >= 1 ? core::ClusterScale(weighting, cnt - 1, n) : 0.0;
   double total = 0.0;
   for (size_t a = 0; a < sensitive.categorical.size(); ++a) {
     const auto& attr = sensitive.categorical[a];
-    total += tables.cat_ins_delta[a][ci * static_cast<size_t>(attr.cardinality) +
-                                     static_cast<size_t>(attr.codes[i])];
+    const size_t m = static_cast<size_t>(attr.cardinality);
+    std::vector<double> rem(m), ins(m);
+    double rem_min = 0.0, ins_min = 0.0;
+    core::kernels::CatDeltaBounds(
+        moments.cat_counts[a].data() + ci * m, attr.dataset_fractions.data(),
+        m, static_cast<double>(cnt), moments.cat_u2[a][ci],
+        moments.cat_uq[a][ci], moments.cat_q2[a], scale_before,
+        scale_rem_after, scale_ins_after, rem.data(), ins.data(), &rem_min,
+        &ins_min);
+    const double wn =
+        attr.weight * (state.config().normalize_domain
+                           ? 1.0 / static_cast<double>(attr.cardinality)
+                           : 1.0);
+    total += wn * ins[static_cast<size_t>(attr.codes[i])];
   }
   const size_t c_to = state.cluster_size(c);
   for (size_t a = 0; a < sensitive.numeric.size(); ++a) {
@@ -327,8 +345,6 @@ double BatchedDeltaFairness(const core::FairKMState& state, size_t i, int to) {
   std::vector<double> dists(static_cast<size_t>(k));
   std::vector<double> fair(static_cast<size_t>(k));
   std::vector<double> ins(static_cast<size_t>(k));
-  core::FairKMState::Checkpoint tables;
-  state.SaveCheckpoint(&tables);
   for (size_t i = 0; i < n; ++i) {
     // Both batched entries must reproduce their per-candidate oracles bit
     // for bit, and the table split the exact closed form, for every point,
@@ -343,7 +359,7 @@ double BatchedDeltaFairness(const core::FairKMState& state, size_t i, int to) {
                << "fairness lane " << fair[ci] << " != oracle " << exact
                << " for point " << i << " -> " << c;
       }
-      const double lookup = OracleFairInsertionDelta(state, tables, i, c);
+      const double lookup = OracleFairInsertionDelta(state, i, c);
       if (ins[ci] != lookup) {
         return ::testing::AssertionFailure()
                << "insertion lane " << ins[ci] << " != table lookup "

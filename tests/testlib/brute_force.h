@@ -63,14 +63,15 @@ double BruteForceDeltaFairness(const data::SensitiveView& sensitive,
 /// FairKMState::DeltaFairnessAllClusters: every lane must equal it with ==.
 double OracleDeltaFairness(const core::FairKMState& state, size_t i, int to);
 
-/// \brief The per-candidate insertion-delta lookup: the sum over attributes
-/// of the cluster-major table entry cat_ins_delta[a][c * m_a + v] of
-/// `tables` (a checkpoint of `state` taken in its current state, bound
-/// tracking on) plus the numeric insertion terms. The bit-exact oracle for
-/// FairKMState::FairInsertionDeltaAllClusters.
-double OracleFairInsertionDelta(const core::FairKMState& state,
-                                const core::FairKMState::Checkpoint& tables,
-                                size_t i, int c);
+/// \brief The per-candidate insertion-delta lookup, recomputed: the sum over
+/// attributes of w_a * norm_a times cluster c's kernels::CatDeltaBounds
+/// insertion entry for point i's value (priced from the state's live moment
+/// tables, exactly as a fresh bound-table recompute would), plus the
+/// numeric insertion terms. The bit-exact oracle for
+/// FairKMState::FairInsertionDeltaAllClusters, whose tables are refreshed
+/// lazily.
+double OracleFairInsertionDelta(const core::FairKMState& state, size_t i,
+                                int c);
 
 /// \brief Lane `to` of FairKMState::DeltaFairnessAllClusters for point i.
 double BatchedDeltaFairness(const core::FairKMState& state, size_t i, int to);
