@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -29,67 +28,25 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
 class Fd {
  public:
   explicit Fd(int fd) : fd_(fd) {}
-  ~Fd() { Close(); }
+  ~Fd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
   Fd(const Fd&) = delete;
   Fd& operator=(const Fd&) = delete;
 
   int get() const { return fd_; }
   bool ok() const { return fd_ >= 0; }
 
-  int Close() {
-    int rc = 0;
-    if (fd_ >= 0) {
-      rc = ::close(fd_);
-      fd_ = -1;
-    }
-    return rc;
-  }
-
  private:
   int fd_;
 };
 
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& what) {
-  size_t done = 0;
-  while (done < size) {
-    ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ENOSPC) {
-        // Typed: callers (degradation ladders, retry loops) can tell a full
-        // disk from a broken one.
-        return Status::ResourceExhausted(what + ": " + std::strerror(errno));
-      }
-      return Status::IOError(what + ": " + std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 std::atomic<uint64_t> dir_fsync_failures{0};
 
-/// Applies a fired short-write or torn-rename fault: leaves `path` holding
-/// only the first `keep` bytes of `data` (the torn default is half) and
-/// reports success, exactly as a crash between write and durability would.
-Status WriteCorruptImage(const std::string& path, const std::string& data,
-                         const fault::FaultAction& action) {
-  size_t keep = action.keep_bytes;
-  if (keep == SIZE_MAX) keep = data.size() / 2;
-  keep = std::min(keep, data.size());
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return ErrnoStatus("open for torn write", path);
-  if (keep > 0 && std::fwrite(data.data(), 1, keep, f) != keep) {
-    std::fclose(f);
-    return ErrnoStatus("torn write", path);
-  }
-  std::fclose(f);
-  return Status::OK();
-}
-
-}  // namespace
-
+/// Best-effort fsync of the directory holding `path`, making a finished
+/// rename durable. A failure (a filesystem that rejects directory fsync, a
+/// fired `<scope>.dirsync` fault) does not fail the write — the rename
+/// itself succeeded — but counts in DirFsyncFailures().
 void SyncParentDirBestEffort(const std::string& path,
                              const std::string& fault_scope) {
   const fs::path parent = fs::path(path).parent_path();
@@ -104,6 +61,8 @@ void SyncParentDirBestEffort(const std::string& path,
   }
 }
 
+}  // namespace
+
 uint64_t DirFsyncFailures() {
   return dir_fsync_failures.load(std::memory_order_relaxed);
 }
@@ -112,64 +71,208 @@ void ResetDirFsyncFailures() {
   dir_fsync_failures.store(0, std::memory_order_relaxed);
 }
 
+/// The temp-file core every durable write streams through: bytes go to
+/// `<path>.tmp` as they arrive, Publish() runs the one durable sequence, and
+/// a file that was never published is unlinked on destruction.
+class DurableFile {
+ public:
+  static Result<std::unique_ptr<DurableFile>> Create(const std::string& path,
+                                                     const std::string& scope) {
+    FAIRKM_RETURN_NOT_OK(fault::Check((scope + ".open").c_str()));
+    const std::string tmp = path + ".tmp";
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) return ErrnoStatus("open", tmp);
+    return std::unique_ptr<DurableFile>(new DurableFile(path, scope, fd));
+  }
+
+  ~DurableFile() {
+    if (fd_ >= 0) ::close(fd_);
+    if (!published_) ::unlink(tmp_.c_str());
+  }
+  DurableFile(const DurableFile&) = delete;
+  DurableFile& operator=(const DurableFile&) = delete;
+
+  uint64_t size() const { return size_; }
+
+  Status Write(const void* data, size_t size) {
+    const char* p = static_cast<const char*>(data);
+    for (size_t done = 0; done < size;) {
+      const ssize_t n = ::write(fd_, p + done, size - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        // Typed: callers (degradation ladders, retry loops) can tell a full
+        // disk from a broken one.
+        const int err = errno;
+        const std::string what = "write " + tmp_ + ": " + std::strerror(err);
+        return err == ENOSPC ? Status::ResourceExhausted(what)
+                             : Status::IOError(what);
+      }
+      done += static_cast<size_t>(n);
+    }
+    size_ += size;
+    return Status::OK();
+  }
+
+  /// Overwrites already-written bytes (a CRC or count slot) in place.
+  Status PatchAt(uint64_t offset, const std::string& bytes) {
+    if (::pwrite(fd_, bytes.data(), bytes.size(), static_cast<off_t>(offset)) !=
+        static_cast<ssize_t>(bytes.size())) {
+      return ErrnoStatus("pwrite", tmp_);
+    }
+    return Status::OK();
+  }
+
+  Status Publish() {
+    // A short-write fault truncates the image but reports success: the
+    // process believes the file landed, and only the reader's CRC can tell
+    // otherwise.
+    fault::FaultAction action;
+    if (fault::Hit((scope_ + ".write").c_str(), &action)) {
+      if (action.kind == fault::Kind::kShortWrite) {
+        size_ = std::min<uint64_t>(action.keep_bytes, size_);
+        if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+          return ErrnoStatus("ftruncate", tmp_);
+        }
+      } else if (!action.status.ok()) {
+        return action.status;
+      }
+    }
+    FAIRKM_RETURN_NOT_OK(fault::Check((scope_ + ".fsync").c_str()));
+    if (::fsync(fd_) != 0) return ErrnoStatus("fsync", tmp_);
+    const int rc = ::close(fd_);
+    fd_ = -1;
+    if (rc != 0) return ErrnoStatus("close", tmp_);
+
+    // A torn-rename fault models a crash while replacing the destination on
+    // a filesystem without atomic rename: the final path gets the first
+    // `keep` bytes (default half) and the call still reports success.
+    bool torn = false;
+    if (fault::Hit((scope_ + ".rename").c_str(), &action)) {
+      torn = action.kind == fault::Kind::kTornRename;
+      if (!torn && !action.status.ok()) return action.status;
+    }
+    if (::rename(tmp_.c_str(), path_.c_str()) != 0) {
+      return ErrnoStatus("rename", tmp_);
+    }
+    published_ = true;
+    if (torn) {
+      const uint64_t keep = action.keep_bytes == SIZE_MAX
+                                ? size_ / 2
+                                : std::min<uint64_t>(action.keep_bytes, size_);
+      if (::truncate(path_.c_str(), static_cast<off_t>(keep)) != 0) {
+        return ErrnoStatus("truncate", path_);
+      }
+      return Status::OK();
+    }
+    SyncParentDirBestEffort(path_, scope_);
+    return Status::OK();
+  }
+
+ private:
+  DurableFile(const std::string& path, const std::string& scope, int fd)
+      : path_(path), tmp_(path + ".tmp"), scope_(scope), fd_(fd) {}
+
+  std::string path_;
+  std::string tmp_;
+  std::string scope_;
+  int fd_;
+  uint64_t size_ = 0;
+  bool published_ = false;
+};
+
 Status AtomicWriteFile(const std::string& path, const std::string& data,
                        const std::string& fault_scope) {
-  FAIRKM_RETURN_NOT_OK(fault::Check((fault_scope + ".open").c_str()));
-  const std::string tmp = path + ".tmp";
-  Fd fd(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-  if (!fd.ok()) return ErrnoStatus("open", tmp);
+  FAIRKM_ASSIGN_OR_RETURN(std::unique_ptr<DurableFile> file,
+                          DurableFile::Create(path, fault_scope));
+  FAIRKM_RETURN_NOT_OK(file->Write(data.data(), data.size()));
+  return file->Publish();
+}
 
-  // A short-write fault truncates the payload but reports success: the
-  // process believes the checkpoint landed, and only the reader's CRC can
-  // tell otherwise.
-  const char* payload = data.data();
-  size_t payload_size = data.size();
-  fault::FaultAction action;
-  if (fault::Hit((fault_scope + ".write").c_str(), &action)) {
-    if (action.kind == fault::Kind::kShortWrite) {
-      payload_size = std::min(action.keep_bytes, payload_size);
-    } else if (!action.status.ok()) {
-      fd.Close();
-      ::unlink(tmp.c_str());
-      return action.status;
-    }
-  }
-  Status st = WriteAll(fd.get(), payload, payload_size, "write " + tmp);
-  if (!st.ok()) {
-    fd.Close();
-    ::unlink(tmp.c_str());
-    return st;
-  }
+SectionWriter::SectionWriter() = default;
+SectionWriter::~SectionWriter() = default;
+SectionWriter::SectionWriter(SectionWriter&&) noexcept = default;
+SectionWriter& SectionWriter::operator=(SectionWriter&&) noexcept = default;
 
-  st = fault::Check((fault_scope + ".fsync").c_str());
-  if (st.ok() && ::fsync(fd.get()) != 0) st = ErrnoStatus("fsync", tmp);
-  if (st.ok() && fd.Close() != 0) st = ErrnoStatus("close", tmp);
-  if (!st.ok()) {
-    fd.Close();
-    ::unlink(tmp.c_str());
-    return st;
-  }
+Status SectionWriter::AbandonOnError(Status st) {
+  if (!st.ok()) file_.reset();  // unlinks the temp file
+  return st;
+}
 
-  // A torn-rename fault models a crash while replacing the destination on a
-  // filesystem without atomic rename: the final path gets a truncated image
-  // and the call still reports success.
-  if (fault::Hit((fault_scope + ".rename").c_str(), &action)) {
-    if (action.kind == fault::Kind::kTornRename) {
-      ::unlink(tmp.c_str());
-      return WriteCorruptImage(path, data, action);
-    }
-    if (!action.status.ok()) {
-      ::unlink(tmp.c_str());
-      return action.status;
-    }
+Status SectionWriter::Start(const std::string& path, uint32_t magic,
+                            uint32_t version, const std::string& fault_scope) {
+  if (active()) return Status::Internal("SectionWriter already started");
+  FAIRKM_ASSIGN_OR_RETURN(file_, DurableFile::Create(path, fault_scope));
+  magic_ = magic;
+  version_ = version;
+  sections_ = 0;
+  frame_offset_ = 0;
+  // Count and CRC are placeholders until Finish() knows the section count.
+  const std::string header(kSectionHeaderBytes, '\0');
+  return AbandonOnError(file_->Write(header.data(), header.size()));
+}
+
+Status SectionWriter::CloseSection() {
+  if (frame_offset_ == 0) return Status::OK();  // no section open
+  if (appended_ != declared_) {
+    return Status::InvalidArgument(
+        "section declared " + std::to_string(declared_) + " bytes, got " +
+        std::to_string(appended_));
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status rename_st = ErrnoStatus("rename", tmp);
-    ::unlink(tmp.c_str());
-    return rename_st;
+  BinaryWriter crc;
+  crc.PutU32(MaskCrc32c(crc_));
+  const uint64_t slot = frame_offset_ + kSectionFramePrefixBytes;
+  frame_offset_ = 0;
+  return file_->PatchAt(slot, crc.buffer());
+}
+
+Status SectionWriter::BeginSection(uint32_t tag, uint64_t payload_size) {
+  if (!active()) return Status::Internal("section writer is not active");
+  FAIRKM_RETURN_NOT_OK(AbandonOnError(CloseSection()));
+  BinaryWriter frame;
+  frame.PutU32(tag);
+  frame.PutU64(payload_size);
+  crc_ = Crc32c(frame.buffer().data(), kSectionFramePrefixBytes);
+  frame.PutU32(0);  // CRC slot, patched by CloseSection
+  frame_offset_ = file_->size();
+  declared_ = payload_size;
+  appended_ = 0;
+  ++sections_;
+  return AbandonOnError(
+      file_->Write(frame.buffer().data(), kSectionFrameBytes));
+}
+
+Status SectionWriter::Append(const void* data, size_t size) {
+  if (!active() || frame_offset_ == 0) {
+    return Status::Internal("Append outside an open section");
   }
-  SyncParentDirBestEffort(path, fault_scope);
-  return Status::OK();
+  if (size > declared_ - appended_) {
+    return AbandonOnError(Status::InvalidArgument(
+        "section payload overruns its declared " + std::to_string(declared_) +
+        " bytes"));
+  }
+  crc_ = Crc32cExtend(crc_, data, size);
+  appended_ += size;
+  return AbandonOnError(file_->Write(data, size));
+}
+
+Status SectionWriter::AddSection(uint32_t tag, const std::string& payload) {
+  FAIRKM_RETURN_NOT_OK(BeginSection(tag, payload.size()));
+  return Append(payload.data(), payload.size());
+}
+
+Status SectionWriter::Finish() {
+  if (!active()) return Status::Internal("section writer is not active");
+  FAIRKM_RETURN_NOT_OK(AbandonOnError(CloseSection()));
+  BinaryWriter header;
+  header.PutU32(magic_);
+  header.PutU32(version_);
+  header.PutU32(sections_);
+  const std::string& prefix = header.buffer();
+  header.PutU32(MaskCrc32c(Crc32c(prefix.data(), prefix.size())));
+  FAIRKM_RETURN_NOT_OK(AbandonOnError(file_->PatchAt(0, header.buffer())));
+  const Status st = file_->Publish();
+  file_.reset();
+  return st;
 }
 
 Status ReadFile(const std::string& path, std::string* out,
@@ -204,38 +307,12 @@ Status ReadFile(const std::string& path, std::string* out,
 Status WriteSectionFile(const std::string& path, uint32_t magic,
                         uint32_t version, const std::vector<Section>& sections,
                         const std::string& fault_scope) {
-  BinaryWriter header;
-  header.PutU32(magic);
-  header.PutU32(version);
-  header.PutU32(static_cast<uint32_t>(sections.size()));
-  std::string file = header.Release();
-  // Size the buffer once: growing it by doubling while appending a large
-  // payload would briefly hold two copies of the file.
-  constexpr size_t kFileCrcBytes = 4, kFrameBytes = 16;  // tag+size+crc
-  size_t total = file.size() + kFileCrcBytes;
-  for (const auto& section : sections) {
-    total += kFrameBytes + section.payload.size();
+  SectionWriter writer;
+  FAIRKM_RETURN_NOT_OK(writer.Start(path, magic, version, fault_scope));
+  for (const Section& section : sections) {
+    FAIRKM_RETURN_NOT_OK(writer.AddSection(section.tag, section.payload));
   }
-  file.reserve(total);
-  {
-    BinaryWriter crc;
-    crc.PutU32(MaskCrc32c(Crc32c(file.data(), file.size())));
-    file += crc.Release();
-  }
-  for (const auto& section : sections) {
-    BinaryWriter frame;
-    frame.PutU32(section.tag);
-    frame.PutU64(section.payload.size());
-    // The CRC covers the frame prefix (tag + size) as well as the payload,
-    // so a corrupted tag or length field is as detectable as corrupted data.
-    const std::string& prefix = frame.buffer();
-    uint32_t crc = Crc32c(prefix.data(), prefix.size());
-    crc = Crc32cExtend(crc, section.payload.data(), section.payload.size());
-    frame.PutU32(MaskCrc32c(crc));
-    file += frame.Release();
-    file += section.payload;
-  }
-  return AtomicWriteFile(path, file, fault_scope);
+  return writer.Finish();
 }
 
 Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
@@ -245,11 +322,11 @@ Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
   FAIRKM_RETURN_NOT_OK(ReadFile(path, &file, fault_scope));
 
   BinaryReader reader(file);
-  constexpr size_t kHeaderBytes = 12;  // magic + version + section_count
-  if (reader.remaining() < kHeaderBytes + sizeof(uint32_t)) {
+  if (reader.remaining() < kSectionHeaderBytes) {
     return Status::DataLoss("section file truncated before header: " + path);
   }
-  const uint32_t header_crc = MaskCrc32c(Crc32c(file.data(), kHeaderBytes));
+  const uint32_t header_crc =
+      MaskCrc32c(Crc32c(file.data(), kSectionHeaderBytes - sizeof(uint32_t)));
   SectionFile out;
   uint32_t file_magic, section_count, stored_header_crc;
   FAIRKM_RETURN_NOT_OK(reader.GetU32(&file_magic));
@@ -275,13 +352,12 @@ Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
     const char* frame_prefix = file.data() + (file.size() - reader.remaining());
     FAIRKM_RETURN_NOT_OK(reader.GetU32(&section.tag));
     FAIRKM_RETURN_NOT_OK(reader.GetU64(&payload_size));
-    constexpr size_t kFramePrefixBytes = 12;  // tag + payload_size
     FAIRKM_RETURN_NOT_OK(reader.GetU32(&stored_crc));
     if (payload_size > reader.remaining()) {
       return Status::DataLoss("section payload truncated in " + path);
     }
     const char* payload = file.data() + (file.size() - reader.remaining());
-    uint32_t crc = Crc32c(frame_prefix, kFramePrefixBytes);
+    uint32_t crc = Crc32c(frame_prefix, kSectionFramePrefixBytes);
     crc = Crc32cExtend(crc, payload, static_cast<size_t>(payload_size));
     if (MaskCrc32c(crc) != stored_crc) {
       return Status::DataLoss("section checksum mismatch in " + path);

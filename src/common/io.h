@@ -1,18 +1,22 @@
 // Durable file I/O and the section-framed binary container used by solver
-// checkpoints and serving-tier model snapshots.
+// checkpoints, serving-tier model snapshots, online engine files and .fkps
+// point stores.
 //
-// Write path (AtomicWriteFile): the payload goes to a temp file in the
-// destination directory, is fsync'd, atomically renamed over the final path,
-// and the parent directory is fsync'd so the rename itself survives a crash.
-// Readers therefore see either the old file or the complete new one — never
-// a half-written image — on any POSIX filesystem that honors rename
-// atomicity. Every step carries a fault point (`<scope>.open`,
-// `<scope>.write`, `<scope>.fsync`, `<scope>.rename`, `<scope>.dirsync`) so
-// tests can force I/O errors, short writes, torn renames and disk-full
-// conditions deterministically (common/fault_injection.h).
+// Write path: every durable file streams through one temp-file core. The
+// bytes go to `<path>.tmp` in the destination directory as they are
+// produced, so no payload is ever buffered whole; then the file is fsync'd,
+// atomically renamed over the final path, and the parent directory is
+// fsync'd so the rename itself survives a crash. Readers therefore see
+// either the old file or the complete new one — never a half-written image
+// — on any POSIX filesystem that honors rename atomicity. Every step carries
+// a fault point (`<scope>.open`, `<scope>.write`, `<scope>.fsync`,
+// `<scope>.rename`, `<scope>.dirsync`) so tests can force I/O errors, short
+// writes, torn renames and disk-full conditions deterministically
+// (common/fault_injection.h). AtomicWriteFile writes one raw image;
+// SectionWriter streams the container format below.
 //
-// Container format (WriteSectionFile / ReadSectionFile), all integers
-// little-endian:
+// Container format (SectionWriter / WriteSectionFile / ReadSectionFile), all
+// integers little-endian:
 //
 //   header   magic:u32  version:u32  section_count:u32  header_crc:u32
 //   section  tag:u32  payload_size:u64  payload_crc:u32  payload bytes
@@ -20,7 +24,9 @@
 //
 // Both CRCs are masked CRC32C (common/crc32.h); the header CRC covers the
 // first 12 bytes, each section CRC covers the section's tag, declared size,
-// and payload, so flipped framing fields are as detectable as flipped data. Any
+// and payload, so flipped framing fields are as detectable as flipped data.
+// The writer accumulates each CRC as the bytes stream out and patches it
+// (and the header's section count and CRC) into place before the fsync. Any
 // mismatch — bad magic, bad CRC, truncated section, trailing garbage —
 // reads as kDataLoss so callers can fall back to an older checkpoint. An
 // unsupported (newer) format version reads as kInvalidArgument: the file is
@@ -39,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,6 +53,12 @@
 
 namespace fairkm {
 namespace io {
+
+/// Container framing sizes in bytes, for readers that walk a section file
+/// in place (PointStore::Open) instead of through ReadSectionFile.
+inline constexpr size_t kSectionHeaderBytes = 16;  // magic version count crc
+inline constexpr size_t kSectionFrameBytes = 16;   // tag payload_size crc
+inline constexpr size_t kSectionFramePrefixBytes = 12;  // tag + payload_size
 
 /// \brief Append-only buffer builder for section payloads (little-endian).
 class BinaryWriter {
@@ -215,12 +228,66 @@ struct SectionFile {
 Status AtomicWriteFile(const std::string& path, const std::string& data,
                        const std::string& fault_scope);
 
+class DurableFile;  // the temp-file core (io.cc)
+
+/// \brief Streams a section file to `<path>.tmp` and publishes it durably:
+/// Start, then per section AddSection (or BeginSection + Append...), then
+/// Finish. No payload is held in memory. A failed call abandons the file:
+/// the temp file is removed, the final path keeps its previous contents,
+/// and later calls return kInternal. Destroying an unfinished writer
+/// removes its temp file too.
+class SectionWriter {
+ public:
+  SectionWriter();
+  ~SectionWriter();
+  SectionWriter(SectionWriter&&) noexcept;
+  SectionWriter& operator=(SectionWriter&&) noexcept;
+
+  /// \brief Opens `<path>.tmp` (fault point `<scope>.open`) and writes the
+  /// header; its section count and CRC are patched in by Finish().
+  Status Start(const std::string& path, uint32_t magic, uint32_t version,
+               const std::string& fault_scope);
+
+  /// \brief Frames the next section, whose payload is exactly
+  /// `payload_size` bytes supplied by Append calls. kInvalidArgument when
+  /// the previous section got fewer bytes than it declared.
+  Status BeginSection(uint32_t tag, uint64_t payload_size);
+
+  /// \brief Streams payload bytes of the open section to the file.
+  /// kInvalidArgument when they overrun its declared size.
+  Status Append(const void* data, size_t size);
+
+  /// \brief BeginSection + Append of a whole payload.
+  Status AddSection(uint32_t tag, const std::string& payload);
+
+  /// \brief Patches the last section CRC and the header, then publishes:
+  /// `<scope>.write` (short / error / diskfull) -> fsync -> close ->
+  /// `<scope>.rename` (torn / error) -> rename -> parent-dir fsync.
+  Status Finish();
+
+  /// \brief True between a successful Start and Finish or a failure.
+  bool active() const { return file_ != nullptr; }
+
+ private:
+  Status CloseSection();
+  Status AbandonOnError(Status st);
+
+  std::unique_ptr<DurableFile> file_;
+  uint32_t magic_ = 0;
+  uint32_t version_ = 0;
+  uint32_t sections_ = 0;
+  uint64_t frame_offset_ = 0;  // open section's frame offset; 0 = none
+  uint64_t declared_ = 0;
+  uint64_t appended_ = 0;
+  uint32_t crc_ = 0;  // running CRC of the open section's prefix + payload
+};
+
 /// \brief Reads all of `path` into `*out`. kNotFound when the file does not
 /// exist, kIOError on other failures; fault point `<scope>.read`.
 Status ReadFile(const std::string& path, std::string* out,
                 const std::string& fault_scope);
 
-/// \brief Frames `sections` in the container format and durably writes them.
+/// \brief Streams `sections` through a SectionWriter.
 Status WriteSectionFile(const std::string& path, uint32_t magic,
                         uint32_t version, const std::vector<Section>& sections,
                         const std::string& fault_scope);
@@ -232,17 +299,10 @@ Result<SectionFile> ReadSectionFile(const std::string& path, uint32_t magic,
                                     uint32_t max_version,
                                     const std::string& fault_scope);
 
-/// \brief Best-effort fsync of the directory containing `path`, making a
-/// just-completed rename durable. Failures (filesystems that reject
-/// directory fsync, a fired `<scope>.dirsync` fault) do not fail the caller
-/// — the rename itself succeeded — but they are no longer silent: each one
-/// increments the process-wide DirFsyncFailures() counter so supervisors and
-/// tests can observe the durability downgrade.
-void SyncParentDirBestEffort(const std::string& path,
-                             const std::string& fault_scope);
-
-/// \brief Directory-fsync failures swallowed by SyncParentDirBestEffort
-/// since process start (or the last reset). Monotonic, thread-safe.
+/// \brief Parent-directory fsyncs after a durable rename that failed since
+/// process start (or the last reset). They do not fail the write — the
+/// rename itself succeeded — but supervisors and tests can observe the
+/// durability downgrade. Monotonic, thread-safe.
 uint64_t DirFsyncFailures();
 
 /// \brief Resets the DirFsyncFailures() counter (test isolation).

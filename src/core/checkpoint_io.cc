@@ -256,14 +256,26 @@ Status CheckStateShape(const SolverCheckpoint& cp, const std::string& path) {
       "checkpoint state lengths contradict its own n/k/stride: " + path);
 }
 
-std::string EncodePruner(const SweepPruner::Checkpoint& pr) {
-  io::BinaryWriter w;
-  PutDoubles(&w, pr.lb0);
-  PutDoubles(&w, pr.drift_ref);
-  PutDoubles(&w, pr.lbmin0);
-  PutDoubles(&w, pr.max_drift_ref);
-  PutBytes8(&w, pr.fresh);
-  return w.Release();
+// The pruner tables are most of the file (n x k lower bounds), so they are
+// encoded, streamed and freed one vector at a time; the section's declared
+// size is checked against the bytes streamed.
+Status WritePruner(io::SectionWriter* w, SweepPruner::Checkpoint* pr) {
+  std::vector<double>* tables[] = {&pr->lb0, &pr->drift_ref, &pr->lbmin0,
+                                   &pr->max_drift_ref};
+  uint64_t size = sizeof(uint64_t) + pr->fresh.size();
+  for (const std::vector<double>* v : tables) {
+    size += sizeof(uint64_t) + v->size() * sizeof(double);
+  }
+  FAIRKM_RETURN_NOT_OK(w->BeginSection(kSectionPruner, size));
+  for (std::vector<double>* v : tables) {
+    io::BinaryWriter enc;
+    PutDoubles(&enc, *v);
+    std::vector<double>().swap(*v);
+    FAIRKM_RETURN_NOT_OK(w->Append(enc.buffer().data(), enc.buffer().size()));
+  }
+  io::BinaryWriter enc;
+  PutBytes8(&enc, pr->fresh);
+  return w->Append(enc.buffer().data(), enc.buffer().size());
 }
 
 std::string EncodePruneStages(const SolverCheckpoint& cp) {
@@ -308,20 +320,20 @@ Status AsDataLoss(Status st, const char* what, const std::string& path) {
 }  // namespace
 
 Status WriteSolverCheckpoint(const std::string& path, SolverCheckpoint cp) {
-  // Each source table is freed once its section is encoded, so the
-  // snapshot, the encoded sections and the framed file buffer never all
-  // coexist.
-  std::vector<io::Section> sections;
-  sections.push_back({kSectionMeta, EncodeMeta(cp)});
-  sections.push_back({kSectionState, EncodeState(cp.state)});
+  // One section at a time is encoded, streamed to the file and freed, and
+  // each source table is freed once encoded, so the snapshot and at most
+  // one encoded section ever coexist.
+  io::SectionWriter w;
+  FAIRKM_RETURN_NOT_OK(w.Start(path, kMagic, kFormatVersion, kFaultScope));
+  FAIRKM_RETURN_NOT_OK(w.AddSection(kSectionMeta, EncodeMeta(cp)));
+  FAIRKM_RETURN_NOT_OK(w.AddSection(kSectionState, EncodeState(cp.state)));
   cp.state = FairKMState::Checkpoint();
   if (cp.has_pruner) {
-    sections.push_back({kSectionPruner, EncodePruner(cp.pruner)});
-    cp.pruner = SweepPruner::Checkpoint();
-    sections.push_back({kSectionPruneStages, EncodePruneStages(cp)});
+    FAIRKM_RETURN_NOT_OK(WritePruner(&w, &cp.pruner));
+    FAIRKM_RETURN_NOT_OK(
+        w.AddSection(kSectionPruneStages, EncodePruneStages(cp)));
   }
-  return io::WriteSectionFile(path, kMagic, kFormatVersion, sections,
-                              kFaultScope);
+  return w.Finish();
 }
 
 Result<SolverCheckpoint> ReadSolverCheckpoint(const std::string& path) {

@@ -24,18 +24,22 @@ constexpr uint32_t kStoreMagic = 0x53504B46;  // "FKPS" little-endian
 constexpr uint32_t kStoreVersion = 1;
 constexpr uint32_t kMetaTag = 1;
 constexpr uint32_t kRowsTag = 2;
-constexpr size_t kHeaderBytes = 16;        // magic, version, count, crc
-constexpr size_t kFrameBytes = 16;         // tag, payload_size, crc
-constexpr size_t kFramePrefixBytes = 12;   // tag + payload_size (CRC'd part)
 constexpr size_t kMetaPayloadBytes = 24;   // rows, cols, stride as u64
+
+// File layout derived from the fixed header/frame sizes: the rows payload
+// begins with enough zero padding that row 0 lands on a 32-byte file
+// offset, which a page-aligned mapping turns into a 32-byte pointer.
+constexpr size_t kMetaFrameOff = io::kSectionHeaderBytes;
+constexpr size_t kMetaPayloadOff = kMetaFrameOff + io::kSectionFrameBytes;
+constexpr size_t kRowsFrameOff = kMetaPayloadOff + kMetaPayloadBytes;
+constexpr size_t kRowsPayloadOff = kRowsFrameOff + io::kSectionFrameBytes;
+constexpr size_t kDataOff = (kRowsPayloadOff + kKernelAlignment - 1) /
+                            kKernelAlignment * kKernelAlignment;
+constexpr size_t kRowsPad = kDataOff - kRowsPayloadOff;
 
 // How many row bytes the RSS-bounded walks (Open verification,
 // ValidateFiniteStore) process between evictions.
 constexpr size_t kWalkChunkBytes = size_t{8} << 20;
-
-size_t RoundUp(size_t v, size_t align) {
-  return (v + align - 1) / align * align;
-}
 
 bool HostIsLittleEndian() {
   const uint32_t probe = 1;
@@ -47,39 +51,6 @@ bool HostIsLittleEndian() {
 Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::IOError(what + " " + path + ": " + std::strerror(errno));
 }
-
-Status WriteAll(int fd, const char* data, size_t size,
-                const std::string& what) {
-  size_t done = 0;
-  while (done < size) {
-    ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ENOSPC) {
-        return Status::ResourceExhausted(what + ": " + std::strerror(errno));
-      }
-      return Status::IOError(what + ": " + std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-// File layout derived from the fixed header/frame sizes: the rows payload
-// begins with enough zero padding that row 0 lands on a 32-byte file
-// offset, which a page-aligned mapping turns into a 32-byte pointer.
-struct StoreLayout {
-  size_t meta_frame_off = kHeaderBytes;
-  size_t meta_payload_off = kHeaderBytes + kFrameBytes;
-  size_t rows_frame_off = kHeaderBytes + kFrameBytes + kMetaPayloadBytes;
-  size_t rows_payload_off =
-      kHeaderBytes + kFrameBytes + kMetaPayloadBytes + kFrameBytes;
-  size_t data_off = RoundUp(
-      kHeaderBytes + kFrameBytes + kMetaPayloadBytes + kFrameBytes,
-      kKernelAlignment);
-  size_t pad() const { return data_off - rows_payload_off; }
-  size_t rows_crc_off() const { return rows_frame_off + kFramePrefixBytes; }
-};
 
 uint32_t LoadU32(const char* p) {
   uint32_t v;
@@ -210,7 +181,7 @@ Result<std::shared_ptr<const PointStore>> PointStore::Create(
 }
 
 // ---------------------------------------------------------------------------
-// FileWriter — streaming materializer with incremental rows CRC
+// FileWriter — meta section, then the rows section streamed row by row
 
 Result<PointStore::FileWriter> PointStore::FileWriter::Start(
     const std::string& path, size_t rows, size_t cols) {
@@ -227,113 +198,27 @@ Result<PointStore::FileWriter> PointStore::FileWriter::Start(
   if (rows > SIZE_MAX / (stride * sizeof(double))) {
     return Status::InvalidArgument("point store dimensions overflow");
   }
-  FAIRKM_RETURN_NOT_OK(fault::Check("pointstore.open"));
 
   FileWriter w;
-  w.path_ = path;
-  w.tmp_path_ = path + ".tmp";
   w.rows_ = rows;
   w.cols_ = cols;
-  w.stride_ = stride;
-  w.fd_ = ::open(w.tmp_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (w.fd_ < 0) return ErrnoStatus("open", w.tmp_path_);
-
-  const StoreLayout layout;
-  const uint64_t rows_payload =
-      layout.pad() + uint64_t{rows} * stride * sizeof(double);
-
-  io::BinaryWriter prefix;
-  prefix.PutU32(kStoreMagic);
-  prefix.PutU32(kStoreVersion);
-  prefix.PutU32(2);  // section count
-  prefix.PutU32(MaskCrc32c(Crc32c(prefix.buffer().data(), kHeaderBytes - 4)));
-
-  io::BinaryWriter meta_payload;
-  meta_payload.PutU64(rows);
-  meta_payload.PutU64(cols);
-  meta_payload.PutU64(stride);
-  io::BinaryWriter meta_frame;
-  meta_frame.PutU32(kMetaTag);
-  meta_frame.PutU64(kMetaPayloadBytes);
-  uint32_t meta_crc =
-      Crc32c(meta_frame.buffer().data(), meta_frame.buffer().size());
-  meta_crc = Crc32cExtend(meta_crc, meta_payload.buffer().data(),
-                          meta_payload.buffer().size());
-  meta_frame.PutU32(MaskCrc32c(meta_crc));
-  prefix.PutBytes(meta_frame.buffer().data(), meta_frame.buffer().size());
-  prefix.PutBytes(meta_payload.buffer().data(), meta_payload.buffer().size());
-
-  io::BinaryWriter rows_frame;
-  rows_frame.PutU32(kRowsTag);
-  rows_frame.PutU64(rows_payload);
-  // The rows CRC accumulates as rows stream in; a zero placeholder holds its
-  // slot and Finish() patches the real value before the rename.
-  w.rows_crc_ = Crc32c(rows_frame.buffer().data(), kFramePrefixBytes);
-  rows_frame.PutU32(0);
-  prefix.PutBytes(rows_frame.buffer().data(), rows_frame.buffer().size());
-
-  const std::string pad(layout.pad(), '\0');
-  w.rows_crc_ = Crc32cExtend(w.rows_crc_, pad.data(), pad.size());
-  prefix.PutBytes(pad.data(), pad.size());
-  w.rows_crc_offset_ = layout.rows_crc_off();
-
-  const std::string& image = prefix.buffer();
-  Status st = WriteAll(w.fd_, image.data(), image.size(), "write " + w.tmp_path_);
-  if (!st.ok()) return st;  // ~FileWriter cleans up the temp file
-  w.bytes_written_ = image.size();
+  FAIRKM_RETURN_NOT_OK(
+      w.writer_.Start(path, kStoreMagic, kStoreVersion, "pointstore"));
+  io::BinaryWriter meta;
+  meta.PutU64(rows);
+  meta.PutU64(cols);
+  meta.PutU64(stride);
+  FAIRKM_RETURN_NOT_OK(w.writer_.AddSection(kMetaTag, meta.buffer()));
+  FAIRKM_RETURN_NOT_OK(w.writer_.BeginSection(
+      kRowsTag, kRowsPad + uint64_t{rows} * stride * sizeof(double)));
+  const char pad[kRowsPad] = {};
+  FAIRKM_RETURN_NOT_OK(w.writer_.Append(pad, kRowsPad));
   w.row_buf_.assign(stride * sizeof(double), '\0');
   return Result<FileWriter>(std::move(w));
 }
 
-PointStore::FileWriter::~FileWriter() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    ::unlink(tmp_path_.c_str());
-  }
-}
-
-PointStore::FileWriter::FileWriter(FileWriter&& other) noexcept
-    : path_(std::move(other.path_)),
-      tmp_path_(std::move(other.tmp_path_)),
-      fd_(other.fd_),
-      rows_(other.rows_),
-      cols_(other.cols_),
-      stride_(other.stride_),
-      appended_(other.appended_),
-      bytes_written_(other.bytes_written_),
-      rows_crc_offset_(other.rows_crc_offset_),
-      rows_crc_(other.rows_crc_),
-      row_buf_(std::move(other.row_buf_)),
-      finished_(other.finished_) {
-  other.fd_ = -1;
-}
-
-PointStore::FileWriter& PointStore::FileWriter::operator=(
-    FileWriter&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      ::unlink(tmp_path_.c_str());
-    }
-    path_ = std::move(other.path_);
-    tmp_path_ = std::move(other.tmp_path_);
-    fd_ = other.fd_;
-    rows_ = other.rows_;
-    cols_ = other.cols_;
-    stride_ = other.stride_;
-    appended_ = other.appended_;
-    bytes_written_ = other.bytes_written_;
-    rows_crc_offset_ = other.rows_crc_offset_;
-    rows_crc_ = other.rows_crc_;
-    row_buf_ = std::move(other.row_buf_);
-    finished_ = other.finished_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
 Status PointStore::FileWriter::Append(const double* row) {
-  if (fd_ < 0 || finished_) {
+  if (!writer_.active()) {
     return Status::Internal("Append on a finished or failed store writer");
   }
   // Per-row fault point: mid-stream I/O errors, injected disk-full, and the
@@ -350,19 +235,15 @@ Status PointStore::FileWriter::Append(const double* row) {
           " contains a non-finite value at column " + std::to_string(c));
     }
   }
-  // row_buf_ padding lanes stay zero across Appends; only the data lanes
-  // are rewritten, so each flushed row is the padded on-disk image.
+  // Only the data lanes are rewritten, so each row is the padded image.
   std::memcpy(row_buf_.data(), row, cols_ * sizeof(double));
-  FAIRKM_RETURN_NOT_OK(
-      WriteAll(fd_, row_buf_.data(), row_buf_.size(), "write " + tmp_path_));
-  rows_crc_ = Crc32cExtend(rows_crc_, row_buf_.data(), row_buf_.size());
-  bytes_written_ += row_buf_.size();
+  FAIRKM_RETURN_NOT_OK(writer_.Append(row_buf_.data(), row_buf_.size()));
   ++appended_;
   return Status::OK();
 }
 
 Status PointStore::FileWriter::Finish() {
-  if (fd_ < 0 || finished_) {
+  if (!writer_.active()) {
     return Status::Internal("Finish on a finished or failed store writer");
   }
   if (appended_ != rows_) {
@@ -370,72 +251,7 @@ Status PointStore::FileWriter::Finish() {
         "store writer got " + std::to_string(appended_) + " of " +
         std::to_string(rows_) + " declared rows");
   }
-
-  io::BinaryWriter crc;
-  crc.PutU32(MaskCrc32c(rows_crc_));
-  if (::pwrite(fd_, crc.buffer().data(), crc.buffer().size(),
-               static_cast<off_t>(rows_crc_offset_)) !=
-      static_cast<ssize_t>(crc.buffer().size())) {
-    return ErrnoStatus("pwrite crc", tmp_path_);
-  }
-
-  // A short-write fault truncates the streamed image but reports success:
-  // the process believes the store landed, and only Open()'s CRC walk can
-  // tell otherwise — the crash-between-write-and-durability scenario.
-  fault::FaultAction action;
-  if (fault::Hit("pointstore.write", &action)) {
-    if (action.kind == fault::Kind::kShortWrite) {
-      const uint64_t keep = std::min<uint64_t>(action.keep_bytes, bytes_written_);
-      if (::ftruncate(fd_, static_cast<off_t>(keep)) != 0) {
-        return ErrnoStatus("ftruncate", tmp_path_);
-      }
-    } else if (!action.status.ok()) {
-      return action.status;  // ~FileWriter unlinks the temp file
-    }
-  }
-
-  Status st = fault::Check("pointstore.fsync");
-  if (st.ok() && ::fsync(fd_) != 0) st = ErrnoStatus("fsync", tmp_path_);
-  if (!st.ok()) return st;
-  if (::close(fd_) != 0) {
-    fd_ = -1;
-    ::unlink(tmp_path_.c_str());
-    return ErrnoStatus("close", tmp_path_);
-  }
-  fd_ = -1;
-
-  // A torn-rename fault models a crash while replacing the destination on a
-  // filesystem without atomic rename: the final path ends up holding a
-  // truncated image and the call still reports success.
-  if (fault::Hit("pointstore.rename", &action)) {
-    if (action.kind == fault::Kind::kTornRename) {
-      uint64_t keep = action.keep_bytes;
-      if (keep == SIZE_MAX) keep = bytes_written_ / 2;
-      keep = std::min<uint64_t>(keep, bytes_written_);
-      if (::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-        Status rename_st = ErrnoStatus("rename", tmp_path_);
-        ::unlink(tmp_path_.c_str());
-        return rename_st;
-      }
-      if (::truncate(path_.c_str(), static_cast<off_t>(keep)) != 0) {
-        return ErrnoStatus("truncate", path_);
-      }
-      finished_ = true;
-      return Status::OK();
-    }
-    if (!action.status.ok()) {
-      ::unlink(tmp_path_.c_str());
-      return action.status;
-    }
-  }
-  if (::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    Status rename_st = ErrnoStatus("rename", tmp_path_);
-    ::unlink(tmp_path_.c_str());
-    return rename_st;
-  }
-  io::SyncParentDirBestEffort(path_, "pointstore");
-  finished_ = true;
-  return Status::OK();
+  return writer_.Finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -460,8 +276,7 @@ Result<std::shared_ptr<const PointStore>> PointStore::Open(
     return st;
   }
   const size_t file_size = static_cast<size_t>(sb.st_size);
-  const StoreLayout layout;
-  if (file_size < layout.data_off) {
+  if (file_size < kDataOff) {
     ::close(fd);
     return Status::DataLoss("store file truncated before row data: " + path);
   }
@@ -486,7 +301,8 @@ Result<std::shared_ptr<const PointStore>> PointStore::Open(
   if (LoadU32(bytes) != kStoreMagic) {
     return Status::DataLoss("bad magic in " + path);
   }
-  if (LoadU32(bytes + 12) != MaskCrc32c(Crc32c(bytes, kHeaderBytes - 4))) {
+  if (LoadU32(bytes + 12) !=
+      MaskCrc32c(Crc32c(bytes, io::kSectionHeaderBytes - sizeof(uint32_t)))) {
     return Status::DataLoss("header checksum mismatch in " + path);
   }
   const uint32_t version = LoadU32(bytes + 4);
@@ -500,21 +316,21 @@ Result<std::shared_ptr<const PointStore>> PointStore::Open(
   }
 
   // Meta section: small, verify in one shot.
-  const char* meta_frame = bytes + layout.meta_frame_off;
+  const char* meta_frame = bytes + kMetaFrameOff;
   if (LoadU32(meta_frame) != kMetaTag ||
       LoadU64(meta_frame + 4) != kMetaPayloadBytes) {
     return Status::DataLoss("bad meta section framing in " + path);
   }
   {
-    uint32_t crc = Crc32c(meta_frame, kFramePrefixBytes);
-    crc = Crc32cExtend(crc, bytes + layout.meta_payload_off, kMetaPayloadBytes);
-    if (LoadU32(meta_frame + kFramePrefixBytes) != MaskCrc32c(crc)) {
+    uint32_t crc = Crc32c(meta_frame, io::kSectionFramePrefixBytes);
+    crc = Crc32cExtend(crc, bytes + kMetaPayloadOff, kMetaPayloadBytes);
+    if (LoadU32(meta_frame + io::kSectionFramePrefixBytes) != MaskCrc32c(crc)) {
       return Status::DataLoss("meta section checksum mismatch in " + path);
     }
   }
-  const uint64_t rows = LoadU64(bytes + layout.meta_payload_off);
-  const uint64_t cols = LoadU64(bytes + layout.meta_payload_off + 8);
-  const uint64_t stride = LoadU64(bytes + layout.meta_payload_off + 16);
+  const uint64_t rows = LoadU64(bytes + kMetaPayloadOff);
+  const uint64_t cols = LoadU64(bytes + kMetaPayloadOff + 8);
+  const uint64_t stride = LoadU64(bytes + kMetaPayloadOff + 16);
   if (rows == 0 || cols == 0 || stride != PaddedStride(cols) ||
       rows > SIZE_MAX / (stride * sizeof(double))) {
     return Status::DataLoss("implausible store shape in " + path);
@@ -522,14 +338,14 @@ Result<std::shared_ptr<const PointStore>> PointStore::Open(
 
   // Rows section framing: the declared payload size and the file size must
   // both match the shape exactly — no truncation, no trailing bytes.
-  const char* rows_frame = bytes + layout.rows_frame_off;
+  const char* rows_frame = bytes + kRowsFrameOff;
   const uint64_t row_bytes = rows * stride * sizeof(double);
-  const uint64_t rows_payload = layout.pad() + row_bytes;
+  const uint64_t rows_payload = kRowsPad + row_bytes;
   if (LoadU32(rows_frame) != kRowsTag ||
       LoadU64(rows_frame + 4) != rows_payload) {
     return Status::DataLoss("bad rows section framing in " + path);
   }
-  if (file_size != layout.rows_payload_off + rows_payload) {
+  if (file_size != kRowsPayloadOff + rows_payload) {
     return Status::DataLoss("store file size mismatch in " + path);
   }
 
@@ -541,13 +357,13 @@ Result<std::shared_ptr<const PointStore>> PointStore::Open(
   store->rows_ = rows;
   store->cols_ = cols;
   store->stride_ = stride;
-  store->data_offset_ = layout.data_off;
-  store->base_ = reinterpret_cast<const double*>(bytes + layout.data_off);
+  store->data_offset_ = kDataOff;
+  store->base_ = reinterpret_cast<const double*>(bytes + kDataOff);
   if (reinterpret_cast<uintptr_t>(store->base_) % kKernelAlignment != 0) {
     return Status::DataLoss("misaligned row data in " + path);
   }
-  uint32_t crc = Crc32c(rows_frame, kFramePrefixBytes);
-  crc = Crc32cExtend(crc, bytes + layout.rows_payload_off, layout.pad());
+  uint32_t crc = Crc32c(rows_frame, io::kSectionFramePrefixBytes);
+  crc = Crc32cExtend(crc, bytes + kRowsPayloadOff, kRowsPad);
   const size_t rows_per_chunk =
       std::max<size_t>(1, kWalkChunkBytes / (stride * sizeof(double)));
   for (size_t r = 0; r < rows; r += rows_per_chunk) {
@@ -567,7 +383,7 @@ Result<std::shared_ptr<const PointStore>> PointStore::Open(
     }
     store->EvictRows(r, chunk_end);
   }
-  if (LoadU32(rows_frame + kFramePrefixBytes) != MaskCrc32c(crc)) {
+  if (LoadU32(rows_frame + io::kSectionFramePrefixBytes) != MaskCrc32c(crc)) {
     return Status::DataLoss("rows section checksum mismatch in " + path);
   }
   return std::shared_ptr<const PointStore>(std::move(store));

@@ -38,11 +38,11 @@
 // mapping, so PointStore is move-only; share one across sessions via the
 // shared_ptr<const PointStore> that Create()/Open() return.
 //
-// On-disk format (all integers little-endian, CRCs masked CRC32C):
+// On-disk format: the common/io.h section container (header, framing and
+// CRCs are defined there), with two sections:
 //
-//   header   magic:u32 ("FKPS")  version:u32  section_count:u32=2  crc:u32
-//   meta     tag=1 section: rows:u64  cols:u64  stride:u64
-//   rows     tag=2 section: zero pad to a 32-byte file offset, then
+//   meta     tag=1: rows:u64  cols:u64  stride:u64
+//   rows     tag=2: zero pad to a 32-byte file offset, then
 //            rows x stride raw little-endian doubles (padding lanes zero)
 //
 // Any mismatch — bad magic, bad CRC, truncation, trailing bytes, a stride
@@ -58,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "common/io.h"
 #include "common/status.h"
 #include "data/matrix.h"
 
@@ -115,23 +116,19 @@ class PointStore {
 
   /// \brief Streaming materializer for datasets too large to hold as a
   /// Matrix: declare (rows, cols) up front, Append each row, Finish once.
-  /// The row payload CRC accumulates incrementally and is patched into the
-  /// section frame before the atomic rename, so a reader never sees a
+  /// Rows stream through an io::SectionWriter, so a reader never sees a
   /// half-written file at the final path (fault scope "pointstore").
   class FileWriter {
    public:
     static Result<FileWriter> Start(const std::string& path, size_t rows,
                                     size_t cols);
-    ~FileWriter();
-    FileWriter(FileWriter&& other) noexcept;
-    FileWriter& operator=(FileWriter&& other) noexcept;
-    FileWriter(const FileWriter&) = delete;
-    FileWriter& operator=(const FileWriter&) = delete;
+    FileWriter(FileWriter&&) noexcept = default;
+    FileWriter& operator=(FileWriter&&) noexcept = default;
 
     /// \brief Appends one row of cols() doubles (must all be finite).
     Status Append(const double* row);
 
-    /// \brief Seals the file: patches the rows CRC, fsyncs, renames into
+    /// \brief Seals the file: patches the CRCs, fsyncs, renames into
     /// place. Requires exactly `rows` Append calls.
     Status Finish();
 
@@ -141,18 +138,11 @@ class PointStore {
    private:
     FileWriter() = default;
 
-    std::string path_;
-    std::string tmp_path_;
-    int fd_ = -1;
+    io::SectionWriter writer_;
     size_t rows_ = 0;
     size_t cols_ = 0;
-    size_t stride_ = 0;
     size_t appended_ = 0;
-    uint64_t bytes_written_ = 0;
-    size_t rows_crc_offset_ = 0;
-    uint32_t rows_crc_ = 0;
-    std::vector<char> row_buf_;
-    bool finished_ = false;
+    std::vector<char> row_buf_;  // one padded row; padding lanes stay zero
   };
 
   size_t rows() const { return rows_; }

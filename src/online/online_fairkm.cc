@@ -334,7 +334,9 @@ Status OnlineFairKM::CheckpointLocked() {
       solver_->SaveCheckpoint(SolverCheckpointPath(options_.checkpoint_dir)));
   const size_t n = row_ids_.size();
   const size_t d = store_->cols();
-  std::vector<io::Section> sections;
+  io::SectionWriter w;
+  FAIRKM_RETURN_NOT_OK(w.Start(EngineCheckpointPath(options_.checkpoint_dir),
+                               kEngineMagic, kEngineVersion, "online"));
 
   io::BinaryWriter meta;
   meta.PutU64(next_id_);
@@ -346,18 +348,18 @@ Status OnlineFairKM::CheckpointLocked() {
   meta.PutU64(retired_);
   meta.PutU64(resweeps_);
   meta.PutU64(flushes_);
-  sections.push_back({kMetaTag, meta.Release()});
+  FAIRKM_RETURN_NOT_OK(w.AddSection(kMetaTag, meta.Release()));
 
   io::BinaryWriter ids;
   ids.PutVector(row_ids_, [&ids](uint64_t id) { ids.PutU64(id); });
-  sections.push_back({kIdsTag, ids.Release()});
+  FAIRKM_RETURN_NOT_OK(w.AddSection(kIdsTag, ids.Release()));
 
   io::BinaryWriter rows;
   for (size_t i = 0; i < n; ++i) {
     const double* row = store_->Row(i);
     for (size_t j = 0; j < d; ++j) rows.PutDouble(row[j]);
   }
-  sections.push_back({kRowsTag, rows.Release()});
+  FAIRKM_RETURN_NOT_OK(w.AddSection(kRowsTag, rows.Release()));
 
   io::BinaryWriter sens;
   sens.PutU64(view_.categorical.size());
@@ -377,17 +379,15 @@ Status OnlineFairKM::CheckpointLocked() {
     sens.PutDouble(attr.dataset_mean);
     for (const double v : attr.values) sens.PutDouble(v);
   }
-  sections.push_back({kSensitiveTag, sens.Release()});
+  FAIRKM_RETURN_NOT_OK(w.AddSection(kSensitiveTag, sens.Release()));
 
   io::BinaryWriter assign;
   for (const int32_t c : solver_->state().assignment()) {
     assign.PutU32(static_cast<uint32_t>(c));
   }
-  sections.push_back({kAssignmentTag, assign.Release()});
+  FAIRKM_RETURN_NOT_OK(w.AddSection(kAssignmentTag, assign.Release()));
 
-  return io::WriteSectionFile(EngineCheckpointPath(options_.checkpoint_dir),
-                              kEngineMagic, kEngineVersion, sections,
-                              "online");
+  return w.Finish();
 }
 
 Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Recover(

@@ -193,11 +193,11 @@ Status DecodeModel(const std::string& payload, core::ModelExport* model,
 
 Status WriteModelSnapshot(const std::string& path,
                           const ModelSnapshot& snapshot) {
-  std::vector<io::Section> sections(1);
-  sections[0].tag = kSectionModel;
-  sections[0].payload = EncodeModel(snapshot.model(), snapshot.version());
-  return io::WriteSectionFile(path, kMagic, kFormatVersion, sections,
-                              kFaultScope);
+  io::SectionWriter w;
+  FAIRKM_RETURN_NOT_OK(w.Start(path, kMagic, kFormatVersion, kFaultScope));
+  FAIRKM_RETURN_NOT_OK(w.AddSection(
+      kSectionModel, EncodeModel(snapshot.model(), snapshot.version())));
+  return w.Finish();
 }
 
 Result<std::shared_ptr<const ModelSnapshot>> ReadModelSnapshot(

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -305,6 +307,216 @@ TEST_F(IoTest, InjectedDirsyncFailureIsCountedNotFatal) {
   EXPECT_EQ(io::DirFsyncFailures(), 1u);  // no new failures
   io::ResetDirFsyncFailures();
   EXPECT_EQ(io::DirFsyncFailures(), 0u);
+}
+
+// Frames `sections` by hand, independently of the writer under test.
+std::string HandFramedImage(uint32_t magic, uint32_t version,
+                            const std::vector<io::Section>& sections) {
+  std::string out;
+  auto put = [&out](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put(magic, 4);
+  put(version, 4);
+  put(sections.size(), 4);
+  put(MaskCrc32c(Crc32c(out.data(), 12)), 4);
+  for (const io::Section& section : sections) {
+    const size_t frame = out.size();
+    put(section.tag, 4);
+    put(section.payload.size(), 8);
+    const uint32_t crc =
+        Crc32cExtend(Crc32c(out.data() + frame, 12), section.payload.data(),
+                     section.payload.size());
+    put(MaskCrc32c(crc), 4);
+    out += section.payload;
+  }
+  return out;
+}
+
+// Streams `sections` through a SectionWriter in 7-byte appends, so payloads
+// cross many write calls.
+Status StreamSections(const std::string& path,
+                      const std::vector<io::Section>& sections,
+                      const std::string& scope) {
+  io::SectionWriter writer;
+  FAIRKM_RETURN_NOT_OK(writer.Start(path, kMagic, 1, scope));
+  for (const io::Section& section : sections) {
+    FAIRKM_RETURN_NOT_OK(writer.BeginSection(section.tag,
+                                             section.payload.size()));
+    for (size_t at = 0; at < section.payload.size(); at += 7) {
+      const size_t n = std::min<size_t>(7, section.payload.size() - at);
+      FAIRKM_RETURN_NOT_OK(writer.Append(section.payload.data() + at, n));
+    }
+  }
+  return writer.Finish();
+}
+
+std::string FileBytes(const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(io::ReadFile(path, &bytes, "read").ok()) << path;
+  return bytes;
+}
+
+TEST_F(IoTest, SectionImagesMatchTheHandFramedContainerByteForByte) {
+  std::string big(3u << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>((i * 2654435761u) >> 13);
+  }
+  const std::vector<std::vector<io::Section>> cases = {
+      {},                                    // zero sections
+      {{9, ""}},                             // one empty payload
+      {{1, "a"}, {2, ""}, {3, "xyz"}},       // empty payload mid-file
+      {{4, big}, {5, "tail"}},               // multi-MB payload
+  };
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const std::string expected = HandFramedImage(kMagic, 1, cases[c]);
+    const std::string whole = Path("whole.fkmc");
+    const std::string streamed = Path("streamed.fkmc");
+    ASSERT_TRUE(io::WriteSectionFile(whole, kMagic, 1, cases[c], "test").ok());
+    ASSERT_TRUE(StreamSections(streamed, cases[c], "test").ok());
+    EXPECT_TRUE(FileBytes(whole) == expected) << "case " << c;
+    EXPECT_TRUE(FileBytes(streamed) == expected) << "case " << c;
+    Result<io::SectionFile> back = io::ReadSectionFile(whole, kMagic, 1, "t");
+    ASSERT_TRUE(back.ok()) << back.status();
+    ASSERT_EQ(back.ValueOrDie().sections.size(), cases[c].size());
+  }
+}
+
+// One row per fault: where it is armed, what it injects, and what the
+// caller and the final path must see. Every other point of the scope is
+// armed pass-through so its hits are counted.
+struct FaultCase {
+  const char* point;
+  fault::Kind kind;
+  size_t keep;  // short/torn keep; SIZE_MAX = the torn default (half)
+  StatusCode code;
+};
+
+TEST_F(IoTest, FaultContractHoldsForEveryWriterAndFaultKind) {
+  const std::vector<std::string> points = {"open", "write", "fsync", "rename",
+                                           "dirsync"};
+  std::vector<FaultCase> cases;
+  for (const char* point : {"open", "write", "fsync", "rename"}) {
+    cases.push_back({point, fault::Kind::kError, 0, StatusCode::kIOError});
+    cases.push_back(
+        {point, fault::Kind::kDiskFull, 0, StatusCode::kResourceExhausted});
+  }
+  cases.push_back({"dirsync", fault::Kind::kError, 0, StatusCode::kOk});
+  cases.push_back({"write", fault::Kind::kShortWrite, 0, StatusCode::kOk});
+  cases.push_back({"write", fault::Kind::kShortWrite, 21, StatusCode::kOk});
+  cases.push_back(
+      {"rename", fault::Kind::kTornRename, SIZE_MAX, StatusCode::kOk});
+  cases.push_back({"rename", fault::Kind::kTornRename, 5, StatusCode::kOk});
+
+  const std::vector<io::Section> old_sections = {{1, "previous image"}};
+  const std::vector<io::Section> new_sections = SampleSections();
+  struct Writer {
+    const char* name;
+    std::function<Status(const std::string&, const std::vector<io::Section>&)>
+        write;
+  };
+  const std::vector<Writer> writers = {
+      {"AtomicWriteFile",
+       [](const std::string& path, const std::vector<io::Section>& sections) {
+         return io::AtomicWriteFile(path,
+                                    HandFramedImage(kMagic, 1, sections),
+                                    "fc");
+       }},
+      {"SectionWriter",
+       [](const std::string& path, const std::vector<io::Section>& sections) {
+         return StreamSections(path, sections, "fc");
+       }},
+  };
+  const std::string path = Path("target.fkmc");
+  const std::string old_image = HandFramedImage(kMagic, 1, old_sections);
+  const std::string new_image = HandFramedImage(kMagic, 1, new_sections);
+  for (const Writer& writer : writers) {
+    for (const FaultCase& fc : cases) {
+      SCOPED_TRACE(std::string(writer.name) + " " + fc.point + " kind " +
+                   std::to_string(static_cast<int>(fc.kind)) + " keep " +
+                   std::to_string(fc.keep));
+      fault::DisarmAll();
+      ASSERT_TRUE(writer.write(path, old_sections).ok());
+      size_t fault_index = 0;
+      for (size_t i = 0; i < points.size(); ++i) {
+        fault::FaultSpec pass;
+        pass.skip = 1 << 30;  // counts hits, never fires
+        fault::Arm("fc." + points[i], pass);
+        if (points[i] == fc.point) fault_index = i;
+      }
+      fault::FaultSpec spec;
+      spec.kind = fc.kind;
+      spec.keep_bytes = fc.keep;
+      fault::Arm(std::string("fc.") + fc.point, spec);
+
+      const Status st = writer.write(path, new_sections);
+      EXPECT_EQ(st.code(), fc.code) << st;
+      // Points up to the fault are reached once; a failure stops the
+      // sequence, and a torn rename skips the directory fsync.
+      for (size_t i = 0; i < points.size(); ++i) {
+        bool reached = st.ok() || i <= fault_index;
+        if (fc.kind == fault::Kind::kTornRename && points[i] == "dirsync") {
+          reached = false;
+        }
+        EXPECT_EQ(fault::HitCount("fc." + points[i]), reached ? 1u : 0u)
+            << points[i];
+      }
+      fault::DisarmAll();
+
+      std::string expected = st.ok() ? new_image : old_image;
+      if (fc.kind == fault::Kind::kShortWrite) {
+        expected = new_image.substr(0, fc.keep);
+      } else if (fc.kind == fault::Kind::kTornRename) {
+        expected = new_image.substr(
+            0, fc.keep == SIZE_MAX ? new_image.size() / 2 : fc.keep);
+      }
+      EXPECT_TRUE(FileBytes(path) == expected);
+      EXPECT_FALSE(fs::exists(path + ".tmp"));
+    }
+  }
+}
+
+TEST_F(IoTest, SectionSizeMismatchFailsTypedAndPublishesNothing) {
+  const std::string path = Path("mismatch.fkmc");
+  const std::string old_image = HandFramedImage(kMagic, 1, SampleSections());
+  ASSERT_TRUE(io::AtomicWriteFile(path, old_image, "test").ok());
+  const std::string bytes = "0123456789";
+
+  {  // Overrun: more bytes than declared.
+    io::SectionWriter writer;
+    ASSERT_TRUE(writer.Start(path, kMagic, 1, "test").ok());
+    ASSERT_TRUE(writer.BeginSection(1, 4).ok());
+    EXPECT_EQ(writer.Append(bytes.data(), 8).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_FALSE(writer.active());
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    EXPECT_EQ(writer.Finish().code(), StatusCode::kInternal);
+  }
+  {  // Underrun, caught when the next section begins.
+    io::SectionWriter writer;
+    ASSERT_TRUE(writer.Start(path, kMagic, 1, "test").ok());
+    ASSERT_TRUE(writer.BeginSection(1, 10).ok());
+    ASSERT_TRUE(writer.Append(bytes.data(), 4).ok());
+    EXPECT_EQ(writer.BeginSection(2, 0).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(writer.Finish().code(), StatusCode::kInternal);
+  }
+  {  // Underrun, caught at Finish.
+    io::SectionWriter writer;
+    ASSERT_TRUE(writer.Start(path, kMagic, 1, "test").ok());
+    ASSERT_TRUE(writer.BeginSection(1, 10).ok());
+    ASSERT_TRUE(writer.Append(bytes.data(), 4).ok());
+    EXPECT_EQ(writer.Finish().code(), StatusCode::kInvalidArgument);
+  }
+  {  // A writer dropped before Finish leaves no temp file behind.
+    io::SectionWriter writer;
+    ASSERT_TRUE(writer.Start(path, kMagic, 1, "test").ok());
+    ASSERT_TRUE(writer.AddSection(1, bytes).ok());
+    EXPECT_TRUE(fs::exists(path + ".tmp"));
+  }
+  EXPECT_TRUE(FileBytes(path) == old_image);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
 }
 
 TEST_F(IoTest, ListDirectoryAndRemove) {

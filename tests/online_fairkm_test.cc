@@ -517,6 +517,67 @@ TEST_F(OnlineRecoveryTest, RecoverThenAdmitMatchesScratchDistribution) {
   }
 }
 
+// The engine file's "online" fault scope: a torn or short engine file is
+// silent at Checkpoint() and caught by Recover's CRCs.
+TEST_F(OnlineRecoveryTest, TornOrShortEngineFileRecoversAsDataLoss) {
+  const SeededWorld world = MakeSeededWorld(53);
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  options.checkpoint_dir = dir_.string();
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/5);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+  for (const char* arming :
+       {"online.rename=torn", "online.write=short,keep=64"}) {
+    SCOPED_TRACE(arming);
+    ASSERT_TRUE(fault::ArmFromString(arming).ok());
+    ASSERT_TRUE(engine->Checkpoint().ok());
+    fault::DisarmAll();
+    EXPECT_EQ(OnlineFairKM::Recover(options).status().code(),
+              StatusCode::kDataLoss);
+    EXPECT_FALSE(fs::exists(dir_ / "online-engine.fkol.tmp"));
+  }
+}
+
+// A failed engine-file fsync fails Checkpoint() and publishes nothing: the
+// previous engine file still recovers to the engine it recorded.
+TEST_F(OnlineRecoveryTest, FailedEngineFsyncKeepsThePreviousEngineFile) {
+  const SeededWorld world = MakeSeededWorld(59);
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  options.drift.regression_tolerance = 1e12;
+  options.checkpoint_dir = dir_.string();
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/6);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<OnlineFairKM> engine = std::move(created).ValueOrDie();
+  ASSERT_TRUE(engine->Checkpoint().ok());
+  const OnlineStats before = engine->Stats();
+  const std::vector<uint64_t> ids_before = engine->LiveIds();
+  const cluster::Assignment assign_before = engine->CurrentAssignment();
+
+  Rng rng(61);
+  const int dim = static_cast<int>(world.points.cols());
+  const data::Matrix pts = MakeBlobs(1, 4, dim, &rng);
+  const data::SensitiveView sv = MakeAdmitView(world.sensitive, 4, &rng);
+  ASSERT_TRUE(engine->Admit(pts, &sv).ok());
+  ASSERT_TRUE(fault::ArmFromString("online.fsync=error").ok());
+  EXPECT_EQ(engine->Checkpoint().code(), StatusCode::kIOError);
+  fault::DisarmAll();
+  engine.reset();
+
+  auto recovered = OnlineFairKM::Recover(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  std::unique_ptr<OnlineFairKM> twin = std::move(recovered).ValueOrDie();
+  EXPECT_EQ(twin->LiveIds(), ids_before);
+  EXPECT_EQ(twin->CurrentAssignment(), assign_before);
+  EXPECT_EQ(twin->Stats().admitted, before.admitted);
+  EXPECT_EQ(twin->Stats().live_rows, before.live_rows);
+}
+
 TEST_F(OnlineRecoveryTest, MissingEngineFileIsAnError) {
   OnlineOptions options;
   options.solver.k = 3;

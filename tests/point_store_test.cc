@@ -161,6 +161,46 @@ TEST_F(PointStoreTest, FileWriterStreamsTheSameImageAsCreate) {
   ExpectStoreMatchesMatrix(*store, m);
 }
 
+// tests/data/points_5x3_v1.fkps was written by PointStore::Create before
+// the store writer moved onto io::SectionWriter. The 5 x 3 matrix has one
+// padding lane per row and exactly representable values, so the image is
+// the same on every kernel backend; both write paths must still reproduce
+// it byte for byte.
+TEST_F(PointStoreTest, WritersReproduceTheCheckedInStoreImage) {
+  Matrix m(5, 3);
+  for (size_t r = 0; r < 5; ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      m.At(r, c) = static_cast<double>(r) * 1.5 -
+                   static_cast<double>(c) * 0.25 + 0.125;
+    }
+  }
+  const std::string fixture =
+      std::string(FAIRKM_TEST_DATA_DIR) + "/points_5x3_v1.fkps";
+  std::string expected;
+  ASSERT_TRUE(io::ReadFile(fixture, &expected, "test").ok());
+  ASSERT_EQ(expected.size(), 256u);
+
+  PointStoreSpec spec;
+  spec.backend = PointStoreSpec::Backend::kMmap;
+  spec.path = Path("created.fkps");
+  ASSERT_TRUE(PointStore::Create(m, spec).ok());
+  std::string created;
+  ASSERT_TRUE(io::ReadFile(spec.path, &created, "test").ok());
+  EXPECT_TRUE(created == expected);
+
+  PointStore::FileWriter writer =
+      PointStore::FileWriter::Start(Path("streamed.fkps"), 5, 3).ValueOrDie();
+  for (size_t r = 0; r < 5; ++r) ASSERT_TRUE(writer.Append(m.Row(r)).ok());
+  ASSERT_TRUE(writer.Finish().ok());
+  std::string streamed;
+  ASSERT_TRUE(io::ReadFile(Path("streamed.fkps"), &streamed, "test").ok());
+  EXPECT_TRUE(streamed == expected);
+
+  const auto store = PointStore::Open(fixture);
+  ASSERT_TRUE(store.ok()) << store.status();
+  ExpectStoreMatchesMatrix(*store.ValueOrDie(), m);
+}
+
 TEST_F(PointStoreTest, FileWriterEnforcesTheDeclaredShape) {
   EXPECT_EQ(PointStore::FileWriter::Start(Path("zero.fkps"), 0, 3)
                 .status()
