@@ -12,21 +12,29 @@
 //   * FairKM vs K-Means vs ZGYA (hard and soft) at a fixed size,
 //   * single move-delta evaluation cost,
 //   * the silhouette score on the scalar vs dispatched distance kernel,
+//   * CSV ingest (ReadCsvFile + Dataset::FromCsv) vs the char-by-char
+//     reference parser in tests/testlib,
 //   * online admit/retire cost vs live row count (flat by design).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_common.h"
 #include "cluster/kmeans.h"
 #include "cluster/zgya.h"
+#include "common/csv.h"
 #include "common/rng.h"
 #include "core/fairkm.h"
 #include "core/fairkm_naive.h"
@@ -35,12 +43,14 @@
 #include "core/kernels/kernels.h"
 #include "core/sharded_sweep.h"
 #include "core/solver.h"
+#include "data/dataset.h"
 #include "data/point_store.h"
 #include "data/preprocess.h"
 #include "metrics/quality.h"
 #include "online/online_fairkm.h"
 #include "serve/assign_batch.h"
 #include "serve/model_snapshot.h"
+#include "testlib/csv_oracle.h"
 
 namespace {
 
@@ -716,6 +726,82 @@ void BM_Silhouette_Dispatch(benchmark::State& state) {
   SilhouetteLoop(state, core::kernels::ActiveBackend());
 }
 BENCHMARK(BM_Silhouette_Dispatch)->Unit(benchmark::kMillisecond);
+
+// Ingest pair (20000 rows of 32 numeric "%.3f" cells and 3 categorical
+// cells, the csv-report shape): ReadCsvFile + Dataset::FromCsv vs the
+// reference reader, parser and FromCsv of tests/testlib/csv_oracle on the
+// same file. Every iteration runs both sides, in alternating order, so host
+// drift lands on both; the speedup counter is the median of the
+// per-iteration reference/library ratios.
+std::string WriteIngestCsv() {
+  constexpr size_t kRows = 20000, kNumeric = 32, kCategorical = 3;
+  Rng rng(23);
+  std::string text;
+  for (size_t j = 0; j < kNumeric; ++j) text += "f" + std::to_string(j) + ",";
+  text += "s0,s1,s2\n";
+  char buf[32];
+  for (size_t i = 0; i < kRows; ++i) {
+    for (size_t j = 0; j < kNumeric; ++j) {
+      const int len = std::snprintf(buf, sizeof(buf), "%.3f,",
+                                    rng.UniformDouble(-40.0, 140.0));
+      text.append(buf, static_cast<size_t>(len));
+    }
+    for (size_t a = 0; a < kCategorical; ++a) {
+      text += "v" + std::to_string(rng.UniformInt(uint64_t{6 + 10 * a}));
+      text += a + 1 < kCategorical ? ',' : '\n';
+    }
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("fairkm_bench_ingest_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr ||
+      std::fwrite(text.data(), 1, text.size(), f) != text.size() ||
+      std::fclose(f) != 0) {
+    std::fprintf(stderr, "bench_scaling: cannot write %s\n", path.c_str());
+    std::abort();
+  }
+  return path;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
+void BM_CsvIngest(benchmark::State& state) {
+  const std::string path = WriteIngestCsv();
+  auto library = [&] {
+    auto dataset = data::Dataset::FromCsv(ReadCsvFile(path).ValueOrDie());
+    benchmark::DoNotOptimize(dataset);
+  };
+  auto oracle = [&] {
+    auto dataset =
+        testutil::OracleFromCsv(testutil::OracleReadCsvFile(path).ValueOrDie());
+    benchmark::DoNotOptimize(dataset);
+  };
+  std::vector<double> library_s, oracle_s, ratios;
+  bool library_first = true;
+  for (auto _ : state) {
+    double lib = 0, ref = 0;
+    for (int side = 0; side < 2; ++side) {
+      const bool run_library = (side == 0) == library_first;
+      Timer timer;
+      run_library ? library() : oracle();
+      (run_library ? lib : ref) = timer.ElapsedSeconds();
+    }
+    library_first = !library_first;
+    library_s.push_back(lib);
+    oracle_s.push_back(ref);
+    ratios.push_back(ref / lib);
+  }
+  std::remove(path.c_str());
+  state.counters["library_s"] = Median(library_s);
+  state.counters["oracle_s"] = Median(oracle_s);
+  state.counters["speedup"] = Median(ratios);
+}
+BENCHMARK(BM_CsvIngest)->Iterations(21)->Unit(benchmark::kMillisecond);
 
 // Zero-work marker whose *name* records the dispatch-selected backend, so
 // BENCH_scaling.json documents which backend produced the _Dispatch numbers

@@ -1,60 +1,82 @@
 #include "common/csv.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 namespace fairkm {
 namespace {
 
+// Bytes that end a plain run outside quotes: everything else is appended to
+// the current field unchanged.
+std::array<bool, 256> SpecialBytes(char delim) {
+  std::array<bool, 256> special{};
+  for (char c : {delim, '"', '\n', '\r'}) special[static_cast<unsigned char>(c)] = true;
+  return special;
+}
+
 // Parses the CSV body into rows of fields. Returns an error on an unterminated
-// quoted field.
-Status ParseBody(const std::string& text, char delim,
+// quoted field. A run of plain bytes, inside or outside quotes, is copied
+// with one append; the delimiter, quote, CR and LF take one state step each.
+Status ParseBody(std::string_view text, char delim,
                  std::vector<std::vector<std::string>>* out) {
-  std::vector<std::string> row;
-  std::string field;
+  const std::array<bool, 256> special = SpecialBytes(delim);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  out->reserve(static_cast<size_t>(std::count(p, end, '\n')) + 1);
+  size_t line = 1;
+  size_t width = 0;  // The previous row's width, to size the next one.
   bool in_quotes = false;
   bool field_started = false;
-  size_t line = 1;
+  std::vector<std::string> row;
+  row.emplace_back();
 
-  auto end_field = [&]() {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_row = [&]() {
-    end_field();
-    out->push_back(std::move(row));
-    row.clear();
-  };
-
-  for (size_t i = 0; i < text.size(); ++i) {
-    char c = text[i];
+  while (p < end) {
     if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+      const char* q = static_cast<const char*>(std::memchr(p, '"', end - p));
+      const char* run_end = q ? q : end;
+      line += static_cast<size_t>(std::count(p, run_end, '\n'));
+      row.back().append(p, run_end);
+      p = run_end;
+      if (p == end) break;
+      if (p + 1 < end && p[1] == '"') {
+        row.back() += '"';
+        p += 2;
       } else {
-        if (c == '\n') ++line;
-        field += c;
+        in_quotes = false;
+        ++p;
       }
       continue;
     }
+    const char* run_end = p;
+    while (run_end < end && !special[static_cast<unsigned char>(*run_end)]) ++run_end;
+    if (run_end != p) {
+      row.back().append(p, run_end);
+      field_started = true;
+      p = run_end;
+      continue;
+    }
+    const char c = *p++;
     if (c == '"' && !field_started) {
       in_quotes = true;
       field_started = true;
     } else if (c == delim) {
-      end_field();
+      row.emplace_back();
+      field_started = false;
     } else if (c == '\r') {
-      // Swallow; handled with the following '\n' (or ignored if bare).
+      // Swallowed; handled with the following '\n' (or ignored if bare).
     } else if (c == '\n') {
       ++line;
-      end_row();
+      width = row.size();
+      out->push_back(std::move(row));
+      row = std::vector<std::string>();
+      row.reserve(width);
+      row.emplace_back();
+      field_started = false;
     } else {
-      field += c;
+      row.back() += c;
       field_started = true;
     }
   }
@@ -63,15 +85,10 @@ Status ParseBody(const std::string& text, char delim,
                            std::to_string(line) + ")");
   }
   // Trailing row without final newline.
-  if (field_started || !field.empty() || !row.empty()) end_row();
-  return Status::OK();
-}
-
-bool NeedsQuoting(const std::string& s, char delim) {
-  for (char c : s) {
-    if (c == delim || c == '"' || c == '\n' || c == '\r') return true;
+  if (field_started || !row.back().empty() || row.size() > 1) {
+    out->push_back(std::move(row));
   }
-  return false;
+  return Status::OK();
 }
 
 }  // namespace
@@ -84,28 +101,30 @@ Result<size_t> CsvTable::ColumnIndex(const std::string& name) const {
 }
 
 Result<CsvTable> ParseCsv(const std::string& text, char delim, bool has_header) {
-  std::vector<std::vector<std::string>> raw;
-  FAIRKM_RETURN_NOT_OK(ParseBody(text, delim, &raw));
+  std::string_view body(text);
+  constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+  if (body.substr(0, kUtf8Bom.size()) == kUtf8Bom) body.remove_prefix(kUtf8Bom.size());
   CsvTable table;
-  if (raw.empty()) return table;
+  FAIRKM_RETURN_NOT_OK(ParseBody(body, delim, &table.rows));
+  if (table.rows.empty()) return table;
   size_t start = 0;
   if (has_header) {
-    table.header = raw[0];
+    table.header = std::move(table.rows.front());
+    table.rows.erase(table.rows.begin());
     start = 1;
   } else {
-    table.header.reserve(raw[0].size());
-    for (size_t i = 0; i < raw[0].size(); ++i) {
+    table.header.reserve(table.rows[0].size());
+    for (size_t i = 0; i < table.rows[0].size(); ++i) {
       table.header.push_back("c" + std::to_string(i));
     }
   }
   const size_t width = table.header.size();
-  for (size_t r = start; r < raw.size(); ++r) {
-    if (raw[r].size() != width) {
-      return Status::IOError("CSV row " + std::to_string(r) + " has " +
-                             std::to_string(raw[r].size()) + " fields, expected " +
-                             std::to_string(width));
+  for (size_t r = 0; r < table.rows.size(); ++r) {
+    if (table.rows[r].size() != width) {
+      return Status::IOError("CSV row " + std::to_string(r + start) + " has " +
+                             std::to_string(table.rows[r].size()) +
+                             " fields, expected " + std::to_string(width));
     }
-    table.rows.push_back(std::move(raw[r]));
   }
   return table;
 }
@@ -113,26 +132,64 @@ Result<CsvTable> ParseCsv(const std::string& text, char delim, bool has_header) 
 Result<CsvTable> ReadCsvFile(const std::string& path, char delim, bool has_header) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open file for reading: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str(), delim, has_header);
+  // One read of the file's size; a stream that cannot seek (or a file that
+  // grew) keeps doubling the buffer until a read comes up short.
+  const std::streamoff size = in.rdbuf()->pubseekoff(0, std::ios::end, std::ios::in);
+  in.rdbuf()->pubseekpos(0, std::ios::in);
+  std::string text(static_cast<size_t>(std::max<std::streamoff>(size, 0)) + 1, '\0');
+  size_t len = 0;
+  for (;;) {
+    in.read(&text[len], static_cast<std::streamsize>(text.size() - len));
+    len += static_cast<size_t>(in.gcount());
+    if (len < text.size()) break;
+    text.resize(text.size() * 2);
+  }
+  if (in.bad()) return Status::IOError("read failed: " + path);
+  text.resize(len);
+  return ParseCsv(text, delim, has_header);
 }
 
 std::string WriteCsv(const CsvTable& table, char delim) {
+  const std::array<bool, 256> special = SpecialBytes(delim);
+  auto needs_quoting = [&](const std::string& s) {
+    for (const char c : s) {
+      if (special[static_cast<unsigned char>(c)]) return true;
+    }
+    return false;
+  };
+  // Size of the unquoted output: one delimiter or newline per field, and a
+  // newline for a row with no fields. Quoted fields are rare and may grow
+  // the buffer once more.
+  size_t size = 0;
+  auto row_size = [&](const std::vector<std::string>& row) {
+    size += std::max<size_t>(row.size(), 1);
+    for (const std::string& f : row) size += f.size();
+  };
+  row_size(table.header);
+  for (const auto& row : table.rows) row_size(row);
+
   std::string out;
+  out.reserve(size);
   auto write_row = [&](const std::vector<std::string>& row) {
     for (size_t i = 0; i < row.size(); ++i) {
       if (i) out += delim;
-      if (NeedsQuoting(row[i], delim)) {
-        out += '"';
-        for (char c : row[i]) {
-          if (c == '"') out += '"';
-          out += c;
-        }
-        out += '"';
-      } else {
-        out += row[i];
+      const std::string& f = row[i];
+      if (!needs_quoting(f)) {
+        out += f;
+        continue;
       }
+      out += '"';
+      for (size_t from = 0;;) {
+        const size_t quote = f.find('"', from);
+        if (quote == std::string::npos) {
+          out.append(f, from, std::string::npos);
+          break;
+        }
+        out.append(f, from, quote + 1 - from);
+        out += '"';
+        from = quote + 1;
+      }
+      out += '"';
     }
     out += '\n';
   };
@@ -144,7 +201,8 @@ std::string WriteCsv(const CsvTable& table, char delim) {
 Status WriteCsvFile(const CsvTable& table, const std::string& path, char delim) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open file for writing: " + path);
-  out << WriteCsv(table, delim);
+  const std::string text = WriteCsv(table, delim);
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }

@@ -1,7 +1,9 @@
 // Minimal RFC-4180-ish CSV codec for dataset import/export.
 //
 // Supports quoted fields with embedded delimiters, escaped quotes ("") and
-// embedded newlines. Streams row-by-row; no full-file buffering on read.
+// embedded newlines. ReadCsvFile reads the whole file into one buffer and
+// parses it into a CsvTable of string cells; a UTF-8 byte order mark at
+// offset 0 is dropped.
 
 #ifndef FAIRKM_COMMON_CSV_H_
 #define FAIRKM_COMMON_CSV_H_

@@ -35,6 +35,18 @@ std::string PadRight(std::string_view s, size_t width);
 
 /// \brief Parses a double; returns false on malformed or trailing input and
 /// on overflow. Underflow to a subnormal (or zero) parses.
+///
+/// The accepted set and every value are those of `strtod` on the trimmed
+/// text. A cell is first offered to `std::from_chars`, and its result is kept
+/// only when it succeeded, consumed the whole cell and is finite. That is
+/// exact: the `from_chars` grammar (optional '-', decimal digits with an
+/// optional point and exponent, no leading space, no '+', no hex) is a subset
+/// of what `strtod` accepts in the "C" locale, and both round correctly to
+/// nearest-even, so an accepted cell yields the same double. Everything else
+/// (surrounding spaces, '+1.5', '0x10', '1e' and any out-of-range result
+/// such as '1e-400' or '1e400', inf and nan with their payloads) takes the
+/// Trim + `strtod` path unchanged. Without floating-point `from_chars`
+/// (`__cpp_lib_to_chars` unset) only that path runs.
 bool ParseDouble(std::string_view s, double* out);
 
 /// \brief Parses a signed 64-bit integer; returns false on malformed input.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <numeric>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/string_util.h"
 
@@ -89,10 +91,22 @@ Result<const CategoricalColumn*> Dataset::FindCategorical(
 }
 
 Result<Matrix> Dataset::ToMatrix(const std::vector<std::string>& column_names) const {
-  Matrix out(num_rows_, column_names.size());
-  for (size_t j = 0; j < column_names.size(); ++j) {
+  const size_t d = column_names.size();
+  std::vector<const double*> columns(d);
+  for (size_t j = 0; j < d; ++j) {
     FAIRKM_ASSIGN_OR_RETURN(const NumericColumn* col, FindNumeric(column_names[j]));
-    for (size_t i = 0; i < num_rows_; ++i) out.At(i, j) = col->values[i];
+    columns[j] = col->values.data();
+  }
+  // Row blocks small enough that the block's rows stay in cache while every
+  // column is copied into them.
+  constexpr size_t kBlockRows = 256;
+  Matrix out(num_rows_, d);
+  for (size_t begin = 0; begin < num_rows_; begin += kBlockRows) {
+    const size_t end = std::min(num_rows_, begin + kBlockRows);
+    for (size_t j = 0; j < d; ++j) {
+      const double* src = columns[j];
+      for (size_t i = begin; i < end; ++i) out.At(i, j) = src[i];
+    }
   }
   return out;
 }
@@ -144,37 +158,59 @@ CsvTable Dataset::ToCsv() const {
 }
 
 Result<Dataset> Dataset::FromCsv(const CsvTable& table) {
-  Dataset out;
   const size_t n = table.num_rows();
-  for (size_t j = 0; j < table.num_cols(); ++j) {
-    // Numeric if every field parses as a double.
-    bool numeric = n > 0;
-    std::vector<double> values;
-    values.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
+  const size_t cols = table.num_cols();
+  // One row-major pass: a column stays numeric while every cell parses as a
+  // double, and drops its values at the first cell that does not.
+  std::vector<char> numeric(cols, n > 0 ? 1 : 0);
+  std::vector<std::vector<double>> values(cols);
+  for (size_t j = 0; j < cols; ++j) {
+    if (numeric[j]) values[j].reserve(n);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<std::string>& row = table.rows[i];
+    for (size_t j = 0; j < cols; ++j) {
+      if (!numeric[j]) continue;
       double v = 0;
-      if (!ParseDouble(table.rows[i][j], &v)) {
-        numeric = false;
-        break;
+      if (ParseDouble(row[j], &v)) {
+        values[j].push_back(v);
+      } else {
+        numeric[j] = 0;
+        values[j] = std::vector<double>();
       }
-      values.push_back(v);
     }
-    if (numeric) {
-      FAIRKM_RETURN_NOT_OK(out.AddNumeric(table.header[j], std::move(values)));
+  }
+
+  Dataset out;
+  for (size_t j = 0; j < cols; ++j) {
+    if (numeric[j]) {
+      FAIRKM_RETURN_NOT_OK(out.AddNumeric(table.header[j], std::move(values[j])));
       continue;
     }
-    // Categorical: deterministic codes via sorted label dictionary.
-    std::map<std::string, int32_t> dict;
-    for (size_t i = 0; i < n; ++i) dict.emplace(table.rows[i][j], 0);
-    std::vector<std::string> labels;
-    labels.reserve(dict.size());
-    for (auto& [label, code] : dict) {
-      code = static_cast<int32_t>(labels.size());
-      labels.push_back(label);
+    // Categorical: first-seen codes from one hash pass, then remapped to the
+    // rank of each label in the sorted dictionary (deterministic codes).
+    std::unordered_map<std::string_view, int32_t> first_seen;
+    std::vector<std::string_view> seen;
+    std::vector<int32_t> codes(n);
+    for (size_t i = 0; i < n; ++i) {
+      const std::string_view label = table.rows[i][j];
+      const auto [it, inserted] =
+          first_seen.try_emplace(label, static_cast<int32_t>(seen.size()));
+      if (inserted) seen.push_back(label);
+      codes[i] = it->second;
     }
-    std::vector<int32_t> codes;
-    codes.reserve(n);
-    for (size_t i = 0; i < n; ++i) codes.push_back(dict[table.rows[i][j]]);
+    std::vector<int32_t> order(seen.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](int32_t a, int32_t b) { return seen[a] < seen[b]; });
+    std::vector<int32_t> rank(seen.size());
+    std::vector<std::string> labels;
+    labels.reserve(seen.size());
+    for (size_t r = 0; r < order.size(); ++r) {
+      rank[static_cast<size_t>(order[r])] = static_cast<int32_t>(r);
+      labels.emplace_back(seen[static_cast<size_t>(order[r])]);
+    }
+    for (int32_t& code : codes) code = rank[static_cast<size_t>(code)];
     FAIRKM_RETURN_NOT_OK(
         out.AddCategorical(table.header[j], std::move(codes), std::move(labels)));
   }

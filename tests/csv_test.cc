@@ -4,6 +4,12 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "testlib/csv_oracle.h"
 
 namespace fairkm {
 namespace {
@@ -116,6 +122,167 @@ TEST(CsvFileTest, MissingFileIsIOError) {
   auto r = ReadCsvFile("/nonexistent/path/file.csv");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+}
+
+// A UTF-8 byte order mark at offset 0 (spreadsheet exports write one) is not
+// part of the first header name; anywhere else it is field content.
+TEST(CsvParseTest, LeadingUtf8BomStripped) {
+  auto r = ParseCsv("\xEF\xBB\xBFgender,x\nM,1\n");
+  ASSERT_TRUE(r.ok());
+  const CsvTable& t = r.ValueOrDie();
+  EXPECT_EQ(t.header, (std::vector<std::string>{"gender", "x"}));
+  auto idx = t.ColumnIndex("gender");
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  EXPECT_EQ(idx.ValueOrDie(), 0u);
+
+  auto no_header = ParseCsv("\xEF\xBB\xBF" "1,2\n", ',', /*has_header=*/false);
+  ASSERT_TRUE(no_header.ok());
+  EXPECT_EQ(no_header.ValueOrDie().rows[0][0], "1");
+
+  auto inner = ParseCsv("a,b\n\xEF\xBB\xBFx,y\n");
+  ASSERT_TRUE(inner.ok());
+  EXPECT_EQ(inner.ValueOrDie().rows[0][0], "\xEF\xBB\xBFx");
+
+  auto only = ParseCsv("\xEF\xBB\xBF");
+  ASSERT_TRUE(only.ok());
+  EXPECT_EQ(only.ValueOrDie().num_cols(), 0u);
+}
+
+TEST(CsvFileTest, LeadingUtf8BomStrippedOnRead) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "fairkm_csv_bom_test.csv").string();
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "\xEF\xBB\xBFs0,f0\r\nv1,0.5\r\n";
+  }
+  auto r = ReadCsvFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.ValueOrDie().ColumnIndex("s0").ok());
+  EXPECT_EQ(r.ValueOrDie().rows[0], (std::vector<std::string>{"v1", "0.5"}));
+}
+
+// -- Differential tests against the char-by-char oracle --------------------
+
+// A random field drawn from bytes that exercise every branch of the state
+// machine: delimiters of both dialects, quotes, CR, LF and plain text.
+std::string RandomField(Rng* rng) {
+  static const char* const kPieces[] = {"a", "bc", "1.5", " ", ",", ";",
+                                        "\"", "\"\"", "\n", "\r\n", "\r", "x y"};
+  std::string field;
+  const uint64_t pieces = rng->UniformInt(4);
+  for (uint64_t p = 0; p < pieces; ++p) {
+    field += kPieces[rng->UniformInt(sizeof(kPieces) / sizeof(kPieces[0]))];
+  }
+  return field;
+}
+
+CsvTable RandomTable(Rng* rng) {
+  CsvTable t;
+  const size_t cols = 1 + rng->UniformInt(5);
+  const size_t rows = rng->UniformInt(6);
+  for (size_t j = 0; j < cols; ++j) t.header.push_back(RandomField(rng));
+  for (size_t i = 0; i < rows; ++i) {
+    std::vector<std::string> row;
+    for (size_t j = 0; j < cols; ++j) row.push_back(RandomField(rng));
+    t.rows.push_back(std::move(row));
+  }
+  return t;
+}
+
+// CSV text that is not always well formed: a written table, then edits that
+// add CRLF or bare CR line ends, drop the final newline, put a quote in the
+// middle of a field, cut a quoted field open, or drop a field (ragged row).
+std::string RandomText(Rng* rng, char delim) {
+  std::string text = testutil::OracleWriteCsv(RandomTable(rng), delim);
+  const uint64_t edits = rng->UniformInt(4);
+  for (uint64_t e = 0; e < edits && !text.empty(); ++e) {
+    const size_t at = rng->UniformInt(text.size());
+    switch (rng->UniformInt(7)) {
+      case 0: {
+        const size_t nl = text.find('\n', at);
+        if (nl != std::string::npos) text.insert(nl, "\r");
+        break;
+      }
+      case 1:
+        text.insert(at, "\r");
+        break;
+      case 2:
+        if (text.back() == '\n') text.pop_back();
+        break;
+      case 3:
+        text.insert(at, "\"");
+        break;
+      case 4:
+        text.erase(at);
+        break;
+      case 5: {
+        const size_t d = text.find(delim, at);
+        if (d != std::string::npos) text.erase(d, 1);
+        break;
+      }
+      default:
+        text.insert(at, std::string(1, delim));
+        break;
+    }
+  }
+  return text;
+}
+
+void ExpectSameParse(const std::string& text, char delim, bool has_header) {
+  const Result<CsvTable> want = testutil::OracleParseCsv(text, delim, has_header);
+  const Result<CsvTable> got = ParseCsv(text, delim, has_header);
+  ASSERT_EQ(got.ok(), want.ok()) << "text: " << text;
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << "text: " << text;
+    EXPECT_EQ(got.status().message(), want.status().message()) << "text: " << text;
+    return;
+  }
+  EXPECT_EQ(got.ValueOrDie().header, want.ValueOrDie().header) << "text: " << text;
+  EXPECT_EQ(got.ValueOrDie().rows, want.ValueOrDie().rows) << "text: " << text;
+}
+
+TEST(CsvDifferentialTest, ParseMatchesOracle) {
+  Rng rng(0xC5F);
+  int failures = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    const char delim = iter % 2 == 0 ? ',' : ';';
+    const std::string text = RandomText(&rng, delim);
+    if (!testutil::OracleParseCsv(text, delim).ok()) ++failures;
+    ExpectSameParse(text, delim, /*has_header=*/true);
+    ExpectSameParse(text, delim, /*has_header=*/false);
+    if (HasFatalFailure()) return;
+  }
+  // Both outcomes are well covered.
+  EXPECT_GT(failures, 400);
+  EXPECT_LT(failures, 3600);
+}
+
+TEST(CsvDifferentialTest, ParseMatchesOracleOnEdgeTexts) {
+  for (const char* text :
+       {"", "\n", "\r", "\r\n", ",", "a", "a,", ",a", "\"\"", "\"", "\"a",
+        "a\"b", "\"a\"b", "\"a\"\"", "\"a\"\"b\"", "a\rb", "a,b\n\n",
+        "a,b\n1,2\r", "a,b\n1,2\n3", "a\n\"x\ny\nz", "\"\n\"\"\n\"",
+        "a,b\r\n1,\"2\r\n3\"\r\n", "a;b\n1;2\n", "a,b\n\"1,2\",3\n"}) {
+    for (const char delim : {',', ';', '\t', '"', '\r', '\n'}) {
+      ExpectSameParse(text, delim, /*has_header=*/true);
+      ExpectSameParse(text, delim, /*has_header=*/false);
+    }
+  }
+}
+
+TEST(CsvDifferentialTest, WriteMatchesOracleBytes) {
+  Rng rng(0xC5E);
+  for (int iter = 0; iter < 2000; ++iter) {
+    CsvTable t = RandomTable(&rng);
+    if (iter % 7 == 0) t.rows.emplace_back();  // A row with no fields.
+    if (iter % 11 == 0 && !t.rows.empty() && !t.rows[0].empty()) {
+      t.rows[0].pop_back();  // A ragged row.
+    }
+    for (const char delim : {',', ';'}) {
+      ASSERT_EQ(WriteCsv(t, delim), testutil::OracleWriteCsv(t, delim));
+    }
+  }
 }
 
 }  // namespace

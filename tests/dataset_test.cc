@@ -171,6 +171,82 @@ TEST(DatasetTest, FromCsvSubnormalColumnStaysNumeric) {
   EXPECT_EQ(x.ValueOrDie()->values[1], 1e-310);
 }
 
+// Typing is unchanged by the from_chars fast path: the smallest subnormal
+// stays a number; inf and nan parse as numbers and the non-finite check
+// rejects the column; an overflowing cell is not a number, so its column is
+// categorical.
+TEST(DatasetTest, FromCsvNonFiniteAndExtremeCells) {
+  auto sub = ParseCsv("x\n4.9e-324\n1\n");
+  ASSERT_TRUE(sub.ok());
+  auto d = Dataset::FromCsv(sub.ValueOrDie());
+  ASSERT_TRUE(d.ok());
+  auto x = d.ValueOrDie().FindNumeric("x");
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ(x.ValueOrDie()->values[0], std::numeric_limits<double>::denorm_min());
+
+  for (const char* cell : {"inf", "-inf", "nan"}) {
+    CsvTable t;
+    t.header = {"a", "b"};
+    t.rows = {{"1", "2"}, {"3", cell}};
+    auto bad = Dataset::FromCsv(t);
+    ASSERT_FALSE(bad.ok()) << cell;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << cell;
+    EXPECT_EQ(bad.status().message(), "column 'b' has a non-finite value at row 1")
+        << cell;
+  }
+
+  CsvTable big;
+  big.header = {"a"};
+  big.rows = {{"1"}, {"1e400"}};
+  auto typed = Dataset::FromCsv(big);
+  ASSERT_TRUE(typed.ok());
+  auto col = typed.ValueOrDie().FindCategorical("a");
+  ASSERT_TRUE(col.ok());
+  EXPECT_EQ(col.ValueOrDie()->labels, (std::vector<std::string>{"1", "1e400"}));
+}
+
+// Codes are ranks in the sorted label dictionary, whatever order the labels
+// first appear in; byte order decides ("B" < "a" < "b" < "\xC3\xA9").
+TEST(DatasetTest, FromCsvCodesFollowSortedLabels) {
+  CsvTable t;
+  t.header = {"s", "x"};
+  t.rows = {{"b", "1"}, {"\xC3\xA9", "2"}, {"a", "3"}, {"b", "4"}, {"B", "5"},
+            {"", "6"}};
+  auto d = Dataset::FromCsv(t);
+  ASSERT_TRUE(d.ok());
+  const CategoricalColumn* s = d.ValueOrDie().FindCategorical("s").ValueOrDie();
+  EXPECT_EQ(s->labels,
+            (std::vector<std::string>{"", "B", "a", "b", "\xC3\xA9"}));
+  EXPECT_EQ(s->codes, (std::vector<int32_t>{3, 4, 2, 3, 1, 0}));
+}
+
+// A spreadsheet export's byte order mark does not hide the first column.
+TEST(DatasetTest, FromCsvFindsFirstColumnBehindBom) {
+  auto csv = ParseCsv("\xEF\xBB\xBFgender,x\nM,1\nF,2\n");
+  ASSERT_TRUE(csv.ok());
+  auto d = Dataset::FromCsv(csv.ValueOrDie());
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE(d.ValueOrDie().FindCategorical("gender").ok());
+}
+
+// Row blocks do not change which value lands where.
+TEST(DatasetTest, ToMatrixAcrossRowBlocks) {
+  Dataset d;
+  std::vector<double> a(1000), b(1000);
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<double>(i);
+    b[i] = -static_cast<double>(i) * 0.5;
+  }
+  ASSERT_TRUE(d.AddNumeric("a", a).ok());
+  ASSERT_TRUE(d.AddNumeric("b", b).ok());
+  auto m = d.ToMatrix({"b", "a"});
+  ASSERT_TRUE(m.ok());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(m.ValueOrDie().At(i, 0), b[i]);
+    ASSERT_EQ(m.ValueOrDie().At(i, 1), a[i]);
+  }
+}
+
 }  // namespace
 }  // namespace data
 }  // namespace fairkm

@@ -139,15 +139,6 @@ data::SensitiveView ScratchDistribution(const data::SensitiveView& view) {
   return fresh_view;
 }
 
-// Create adopts the distribution its caller passes, and every admit or
-// retire replaces it with the exact one. A world the oracle checks before
-// any membership change therefore carries the from-scratch distribution.
-SeededWorld MakeScratchWorld(uint64_t seed) {
-  SeededWorld world = MakeSeededWorld(seed);
-  world.sensitive = ScratchDistribution(world.sensitive);
-  return world;
-}
-
 // A seeded world whose numeric attribute opens with values a left-to-right
 // sum gets wrong (1e16 + 1 - 1e16 is 0 that way, exactly 1), carrying the
 // from-scratch distribution.
@@ -218,6 +209,21 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
   // chunked summation order a fresh Create runs.
   EXPECT_EQ(live.KMeansTermCached(), fresh.KMeansTermCached());
   EXPECT_EQ(live.FairnessTermCached(), fresh.FairnessTermCached());
+}
+
+// Create derives the numeric means from its rows before the first train, so
+// a flush right after Create already meets the oracle. The world's own mean
+// is a left-to-right sum, one ulp away from the exact one for this seed.
+TEST(OnlineOracle, FreshEngineMatchesScratchRebuild) {
+  const SeededWorld world = MakeSeededWorld(59);
+  ASSERT_FALSE(world.sensitive.numeric.empty());
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/6);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ExpectOracleEquality(created.ValueOrDie().get());
 }
 
 class OnlineOracleTest : public ::testing::TestWithParam<EngineConfig> {};
@@ -449,7 +455,7 @@ TEST_F(OnlineRecoveryTest, CheckpointRecoverRoundTripsTheEngine) {
 }
 
 TEST_F(OnlineRecoveryTest, LostSolverFileFallsBackToWarmStartRebuild) {
-  const SeededWorld world = MakeScratchWorld(37);
+  const SeededWorld world = MakeSeededWorld(37);
   OnlineOptions options;
   options.solver.k = world.k;
   options.solver.lambda = 60.0;
