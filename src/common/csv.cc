@@ -9,20 +9,14 @@
 namespace fairkm {
 namespace {
 
-// Bytes that end a plain run outside quotes: everything else is appended to
-// the current field unchanged.
-std::array<bool, 256> SpecialBytes(char delim) {
-  std::array<bool, 256> special{};
-  for (char c : {delim, '"', '\n', '\r'}) special[static_cast<unsigned char>(c)] = true;
-  return special;
-}
-
 // Parses the CSV body into rows of fields. Returns an error on an unterminated
 // quoted field. A run of plain bytes, inside or outside quotes, is copied
 // with one append; the delimiter, quote, CR and LF take one state step each.
 Status ParseBody(std::string_view text, char delim,
                  std::vector<std::vector<std::string>>* out) {
-  const std::array<bool, 256> special = SpecialBytes(delim);
+  // Bytes that end a plain run outside quotes.
+  std::array<bool, 256> special{};
+  for (char c : {delim, '"', '\n', '\r'}) special[static_cast<unsigned char>(c)] = true;
   const char* p = text.data();
   const char* const end = p + text.size();
   out->reserve(static_cast<size_t>(std::count(p, end, '\n')) + 1);
@@ -72,7 +66,9 @@ Status ParseBody(std::string_view text, char delim,
       width = row.size();
       out->push_back(std::move(row));
       row = std::vector<std::string>();
-      row.reserve(width);
+      // One slot more than the previous row: a caller appending a column
+      // (the CLI's cluster id) does not reallocate every row.
+      row.reserve(width + 1);
       row.emplace_back();
       field_started = false;
     } else {
@@ -89,6 +85,13 @@ Status ParseBody(std::string_view text, char delim,
     out->push_back(std::move(row));
   }
   return Status::OK();
+}
+
+bool NeedsQuoting(const std::string& s, char delim) {
+  for (char c : s) {
+    if (c == delim || c == '"' || c == '\n' || c == '\r') return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -150,46 +153,31 @@ Result<CsvTable> ReadCsvFile(const std::string& path, char delim, bool has_heade
 }
 
 std::string WriteCsv(const CsvTable& table, char delim) {
-  const std::array<bool, 256> special = SpecialBytes(delim);
-  auto needs_quoting = [&](const std::string& s) {
-    for (const char c : s) {
-      if (special[static_cast<unsigned char>(c)]) return true;
-    }
-    return false;
-  };
-  // Size of the unquoted output: one delimiter or newline per field, and a
-  // newline for a row with no fields. Quoted fields are rare and may grow
-  // the buffer once more.
+  // Reserving the unquoted size (one delimiter or newline per field, one
+  // newline for an empty row) keeps the buffer from doubling past the
+  // output's size; quoted fields are rare.
   size_t size = 0;
-  auto row_size = [&](const std::vector<std::string>& row) {
+  auto add_size = [&](const std::vector<std::string>& row) {
     size += std::max<size_t>(row.size(), 1);
     for (const std::string& f : row) size += f.size();
   };
-  row_size(table.header);
-  for (const auto& row : table.rows) row_size(row);
-
+  add_size(table.header);
+  for (const auto& row : table.rows) add_size(row);
   std::string out;
   out.reserve(size);
   auto write_row = [&](const std::vector<std::string>& row) {
     for (size_t i = 0; i < row.size(); ++i) {
       if (i) out += delim;
-      const std::string& f = row[i];
-      if (!needs_quoting(f)) {
-        out += f;
-        continue;
-      }
-      out += '"';
-      for (size_t from = 0;;) {
-        const size_t quote = f.find('"', from);
-        if (quote == std::string::npos) {
-          out.append(f, from, std::string::npos);
-          break;
-        }
-        out.append(f, from, quote + 1 - from);
+      if (NeedsQuoting(row[i], delim)) {
         out += '"';
-        from = quote + 1;
+        for (char c : row[i]) {
+          if (c == '"') out += '"';
+          out += c;
+        }
+        out += '"';
+      } else {
+        out += row[i];
       }
-      out += '"';
     }
     out += '\n';
   };
@@ -201,8 +189,7 @@ std::string WriteCsv(const CsvTable& table, char delim) {
 Status WriteCsvFile(const CsvTable& table, const std::string& path, char delim) {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IOError("cannot open file for writing: " + path);
-  const std::string text = WriteCsv(table, delim);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out << WriteCsv(table, delim);
   if (!out) return Status::IOError("write failed: " + path);
   return Status::OK();
 }

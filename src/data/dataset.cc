@@ -91,22 +91,10 @@ Result<const CategoricalColumn*> Dataset::FindCategorical(
 }
 
 Result<Matrix> Dataset::ToMatrix(const std::vector<std::string>& column_names) const {
-  const size_t d = column_names.size();
-  std::vector<const double*> columns(d);
-  for (size_t j = 0; j < d; ++j) {
+  Matrix out(num_rows_, column_names.size());
+  for (size_t j = 0; j < column_names.size(); ++j) {
     FAIRKM_ASSIGN_OR_RETURN(const NumericColumn* col, FindNumeric(column_names[j]));
-    columns[j] = col->values.data();
-  }
-  // Row blocks small enough that the block's rows stay in cache while every
-  // column is copied into them.
-  constexpr size_t kBlockRows = 256;
-  Matrix out(num_rows_, d);
-  for (size_t begin = 0; begin < num_rows_; begin += kBlockRows) {
-    const size_t end = std::min(num_rows_, begin + kBlockRows);
-    for (size_t j = 0; j < d; ++j) {
-      const double* src = columns[j];
-      for (size_t i = begin; i < end; ++i) out.At(i, j) = src[i];
-    }
+    for (size_t i = 0; i < num_rows_; ++i) out.At(i, j) = col->values[i];
   }
   return out;
 }

@@ -54,12 +54,13 @@ Result<std::unique_ptr<OnlineFairKM>> OnlineFairKM::Create(
   std::unique_ptr<OnlineFairKM> engine(new OnlineFairKM(options, service));
   engine->store_ = std::make_shared<data::PointStore>(initial_points);
   engine->view_ = initial_sensitive;
-  // The first train already prices against the exact numeric means that
-  // every later refresh and a cold rebuild compute.
+  // The first train already prices against the distribution (count / n
+  // fractions, exactly rounded means) that every later refresh and a cold
+  // rebuild compute.
   std::lock_guard<std::mutex> lock(engine->mu_);
   engine->AssignInitialIdsLocked();
   engine->BuildDistributionLocked();
-  engine->RefreshMeansLocked();
+  engine->RefreshViewLocked();
   FAIRKM_ASSIGN_OR_RETURN(
       core::FairKMSolver solver,
       core::FairKMSolver::Create(
@@ -234,11 +235,6 @@ void OnlineFairKM::RefreshViewLocked() {
       fractions[s] = static_cast<double>(code_counts_[a][s]) / n;
     }
   }
-  RefreshMeansLocked();
-}
-
-void OnlineFairKM::RefreshMeansLocked() {
-  const double n = static_cast<double>(row_ids_.size());
   for (size_t a = 0; a < view_.numeric.size(); ++a) {
     view_.numeric[a].dataset_mean = value_sums_[a].Round() / n;
   }

@@ -31,11 +31,10 @@
 //   * Numeric means are exact: after any admit or retire, dataset_mean is
 //     the correctly rounded sum of the live values (common ExactSum) divided
 //     by n — the same double for every admission order and the same double
-//     a from-scratch pass over the survivors computes. Create sets the
-//     numeric means that way before its first train; it keeps the
-//     categorical fractions it is handed (a caller may train against a
-//     population distribution) until the first membership change. Recover
-//     keeps the checkpointed distribution.
+//     a from-scratch pass over the survivors computes. Create replaces the
+//     fractions and means it is handed with these (count / n and exact
+//     means over the initial rows) before its first train; Recover keeps
+//     the checkpointed distribution.
 //   * Drift monitor: the maintained per-point objective is compared against
 //     the baseline recorded at the last (re-)train. A regression past
 //     DriftPolicy::regression_tolerance — or a non-finite reading, injected
@@ -212,7 +211,6 @@ class OnlineFairKM {
   void AssignInitialIdsLocked();
   void BuildDistributionLocked();
   void RefreshViewLocked();
-  void RefreshMeansLocked();
   Status SyncAfterMembershipChangeLocked();
   Status FlushLocked();
   Status MaybeResweepLocked();

@@ -229,24 +229,6 @@ TEST(DatasetTest, FromCsvFindsFirstColumnBehindBom) {
   EXPECT_TRUE(d.ValueOrDie().FindCategorical("gender").ok());
 }
 
-// Row blocks do not change which value lands where.
-TEST(DatasetTest, ToMatrixAcrossRowBlocks) {
-  Dataset d;
-  std::vector<double> a(1000), b(1000);
-  for (size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<double>(i);
-    b[i] = -static_cast<double>(i) * 0.5;
-  }
-  ASSERT_TRUE(d.AddNumeric("a", a).ok());
-  ASSERT_TRUE(d.AddNumeric("b", b).ok());
-  auto m = d.ToMatrix({"b", "a"});
-  ASSERT_TRUE(m.ok());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(m.ValueOrDie().At(i, 0), b[i]);
-    ASSERT_EQ(m.ValueOrDie().At(i, 1), a[i]);
-  }
-}
-
 }  // namespace
 }  // namespace data
 }  // namespace fairkm

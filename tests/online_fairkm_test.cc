@@ -26,6 +26,7 @@
 
 #include "common/fault_injection.h"
 #include "core/fairkm_state.h"
+#include "data/dataset.h"
 #include "serve/assign_service.h"
 #include "test_util.h"
 #include "testlib/brute_force.h"
@@ -217,6 +218,35 @@ void ExpectOracleEquality(OnlineFairKM* engine) {
 TEST(OnlineOracle, FreshEngineMatchesScratchRebuild) {
   const SeededWorld world = MakeSeededWorld(59);
   ASSERT_FALSE(world.sensitive.numeric.empty());
+  OnlineOptions options;
+  options.solver.k = world.k;
+  options.solver.lambda = 60.0;
+  auto created =
+      OnlineFairKM::Create(world.points, world.sensitive, options, /*seed=*/6);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ExpectOracleEquality(created.ValueOrDie().get());
+}
+
+// Callers build fractions with CategoricalColumn::Fractions (count * (1/n)),
+// which can sit one ulp from the engine's count / n; Create must still train
+// on the rebuild's distribution.
+TEST(OnlineOracle, FreshEngineFromColumnFractionsMatchesScratchRebuild) {
+  SeededWorld world = MakeSeededWorld(59);
+  bool differs = false;
+  for (auto& attr : world.sensitive.categorical) {
+    data::CategoricalColumn column;
+    column.codes = attr.codes;
+    column.labels.resize(static_cast<size_t>(attr.cardinality));
+    attr.dataset_fractions = column.Fractions();
+    std::vector<int64_t> counts(column.labels.size(), 0);
+    for (const int32_t c : attr.codes) ++counts[static_cast<size_t>(c)];
+    for (size_t s = 0; s < counts.size(); ++s) {
+      differs |= attr.dataset_fractions[s] !=
+                 static_cast<double>(counts[s]) /
+                     static_cast<double>(attr.codes.size());
+    }
+  }
+  ASSERT_TRUE(differs) << "the world no longer exercises the ulp gap";
   OnlineOptions options;
   options.solver.k = world.k;
   options.solver.lambda = 60.0;

@@ -74,13 +74,6 @@ Status ParseBody(const std::string& text, char delim,
   return Status::OK();
 }
 
-bool NeedsQuoting(const std::string& s, char delim) {
-  for (char c : s) {
-    if (c == delim || c == '"' || c == '\n' || c == '\r') return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 Result<CsvTable> OracleParseCsv(const std::string& text, char delim,
@@ -108,29 +101,6 @@ Result<CsvTable> OracleParseCsv(const std::string& text, char delim,
     table.rows.push_back(std::move(raw[r]));
   }
   return table;
-}
-
-std::string OracleWriteCsv(const CsvTable& table, char delim) {
-  std::string out;
-  auto write_row = [&](const std::vector<std::string>& row) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i) out += delim;
-      if (NeedsQuoting(row[i], delim)) {
-        out += '"';
-        for (char c : row[i]) {
-          if (c == '"') out += '"';
-          out += c;
-        }
-        out += '"';
-      } else {
-        out += row[i];
-      }
-    }
-    out += '\n';
-  };
-  write_row(table.header);
-  for (const auto& row : table.rows) write_row(row);
-  return out;
 }
 
 Result<CsvTable> OracleReadCsvFile(const std::string& path, char delim,

@@ -1,4 +1,4 @@
-// Straightforward reference versions of the CSV ingest path: the codec in
+// Straightforward reference versions of the CSV ingest path: the parser in
 // common/csv.cc, ParseDouble and Dataset::FromCsv.
 //
 // The parser takes one state machine step per byte: the plain reading of the
@@ -25,9 +25,6 @@ namespace testutil {
 /// \brief Reference ParseCsv: same CsvTable or the same Status.
 Result<CsvTable> OracleParseCsv(const std::string& text, char delim = ',',
                                 bool has_header = true);
-
-/// \brief Reference WriteCsv: the same bytes.
-std::string OracleWriteCsv(const CsvTable& table, char delim = ',');
 
 /// \brief Reads the whole file through a string stream, then OracleParseCsv.
 Result<CsvTable> OracleReadCsvFile(const std::string& path, char delim = ',',
